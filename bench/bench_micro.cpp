@@ -3,19 +3,17 @@
 // cost — the engineering numbers behind the campaign-time estimates.
 //
 // Engine-comparison mode (no google-benchmark needed):
-//   bench_micro --engines [--class=S] [--reps=3] [--gate=1.3]
-//               [--trace-gate-solo=1.2] [--trace-gate-multi=0.9]
+//   bench_micro --engines [--class=S] [--reps=3]
 //               [--out=BENCH_engines.json]
 //               [--baseline=bench/BENCH_engines_baseline.json]
 //               [--tolerance=0.2]
 // runs a fixed matrix of serial and multi-core scenarios once per execution
-// engine (switch / cached / trace) and emits a stable machine-readable JSON
-// report of steps/sec (retired guest instructions per second) per engine x
+// engine (switch / cached) and emits a stable machine-readable JSON report
+// of steps/sec (retired guest instructions per second) per engine x
 // scenario. Exit is non-zero when:
-//   * the cached/switch geomean falls below --gate,
-//   * the trace/cached geomean falls below --trace-gate-solo on the
-//     solo-core scenarios or --trace-gate-multi on the multi-core ones,
-//   * any engine retired a different instruction count (engines must only
+//   * the cached/switch geomean falls below kGateSolo (1.56) on the
+//     solo-core scenarios or kGateMulti (1.17) on the multi-core ones,
+//   * the engines retired different instruction counts (engines must only
 //     differ in speed, never in behavior), or
 //   * --baseline names a previous report and a geomean engine ratio
 //     regressed by more than --tolerance (relative). Geomean ratios, not
@@ -33,19 +31,19 @@
 // kind (cache-tag / cache-data / bus) on each engine and gates their
 // outcome databases byte-identical; see uncore_smoke() below.
 //
-// Why the multi-core trace gate asserts "no regression" (~1x) rather than a
-// large speedup: the engines' gated contract is bit-identical campaign
-// output, and with shared guest memory and a shared L2 model, cross-core
-// instruction order is observable — so the reference schedule (argmin over
-// per-core ticks, ties to the lowest index) must be reproduced exactly, at
-// per-instruction granularity, whenever two or more cores are runnable.
-// Near-lockstep cores therefore force a scheduling decision every 1-2
-// instructions no matter how traces are formed. Engine::Trace amortizes
-// what that schedule permits (equal-tick rounds, claim-horizon bursts,
-// parked per-core trace cursors cut scheduler scans ~4x), which buys
-// roughly 1.0-1.25x over cached there, while solo-core regimes — where the
-// schedule is unconstrained — get the full superblock win (>= 1.2x gated,
-// ~1.3-1.8x measured).
+// Why the multi-core gate is lower than the solo one: the engines' gated
+// contract is bit-identical campaign output, and with shared guest memory
+// and a shared L2 model, cross-core instruction order is observable — so
+// the reference schedule (argmin over per-core ticks, ties to the lowest
+// index) must be reproduced exactly, at per-instruction granularity,
+// whenever two or more cores are runnable. Near-lockstep cores therefore
+// force a scheduling decision every 1-2 instructions no matter how
+// superblocks are formed. The cached engine amortizes what that schedule
+// permits (equal-tick rounds, claim-horizon bursts, parked per-core
+// superblock cursors cut scheduler scans ~4x), while solo-core regimes —
+// where the schedule is unconstrained — get the full superblock win. The
+// gates are the products of the former per-step-cached/switch gate (1.3)
+// with the former superblock/per-step gates (1.2 solo, 0.9 multi-core).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -149,6 +147,10 @@ struct BenchScenario {
     bool multi = false;
 };
 
+/// Geomean cached/switch floors; see the header comment.
+constexpr double kGateSolo = 1.56;
+constexpr double kGateMulti = 1.17;
+
 /// Baseline regression check: compare this run's geomean engine ratios
 /// against a previous report (--baseline). Geomean ratios — not absolute
 /// steps/sec, not per-scenario ratios — are compared because they are
@@ -158,16 +160,14 @@ struct BenchScenario {
 /// false (and prints why) when a geomean regressed by more than `tolerance`
 /// relative; a baseline missing a geomean key fails the check (forcing a
 /// baseline refresh when the report format changes).
-bool check_baseline(const util::JsonValue& base, double geo_cached,
-                    double geo_trace_solo, double geo_trace_multi,
-                    double tolerance) {
+bool check_baseline(const util::JsonValue& base, double geo_solo,
+                    double geo_multi, double tolerance) {
     bool ok = true;
     const struct {
         const char* key;
         double current;
-    } ratios[] = {{"geomean_cached_over_switch", geo_cached},
-                  {"geomean_trace_over_cached_solo", geo_trace_solo},
-                  {"geomean_trace_over_cached_multi", geo_trace_multi}};
+    } ratios[] = {{"geomean_cached_over_switch_solo", geo_solo},
+                  {"geomean_cached_over_switch_multi", geo_multi}};
     for (const auto& r : ratios) {
         const util::JsonValue* b = base.find(r.key);
         if (!b) {
@@ -188,15 +188,7 @@ bool check_baseline(const util::JsonValue& base, double geo_cached,
 }
 
 int engine_compare(const util::Cli& cli) {
-    // This is a CI gate: refuse nonsense instead of silently disarming
-    // (a strtod failure would otherwise yield gate = 0, which always passes).
-    const double gate = cli.get_double("gate", 1.3);
-    const double trace_gate_solo = cli.get_double("trace-gate-solo", 1.2);
-    const double trace_gate_multi = cli.get_double("trace-gate-multi", 0.9);
-    if (!(gate > 0) || !(trace_gate_solo > 0) || !(trace_gate_multi > 0)) {
-        std::fprintf(stderr, "gates must be positive numbers\n");
-        return 2;
-    }
+    // This is a CI gate: refuse nonsense instead of silently disarming.
     const double tolerance = cli.get_double("tolerance", 0.2);
     if (!(tolerance >= 0) || tolerance >= 1) {
         std::fprintf(stderr, "--tolerance must be in [0, 1)\n");
@@ -234,7 +226,7 @@ int engine_compare(const util::Cli& cli) {
     scenarios.push_back({{isa::Profile::V8, npb::App::EP, npb::Api::OMP, 2, klass}, true});
     scenarios.push_back({{isa::Profile::V8, npb::App::IS, npb::Api::OMP, 4, klass}, true});
 
-    double log_cached = 0, log_trace_solo = 0, log_trace_multi = 0;
+    double log_solo = 0, log_multi = 0;
     std::size_t n_solo = 0, n_multi = 0;
     bool identical = true;
     bool baseline_ok = true;
@@ -248,19 +240,15 @@ int engine_compare(const util::Cli& cli) {
     for (const BenchScenario& bs : scenarios) {
         const EngineRun sw = measure(bs.s, sim::Engine::Switch, reps);
         const EngineRun ca = measure(bs.s, sim::Engine::Cached, reps);
-        const EngineRun tr = measure(bs.s, sim::Engine::Trace, reps);
         const double cached_over_switch = ca.steps_per_sec / sw.steps_per_sec;
-        const double trace_over_cached = tr.steps_per_sec / ca.steps_per_sec;
-        log_cached += std::log(cached_over_switch);
         if (bs.multi) {
-            log_trace_multi += std::log(trace_over_cached);
+            log_multi += std::log(cached_over_switch);
             ++n_multi;
         } else {
-            log_trace_solo += std::log(trace_over_cached);
+            log_solo += std::log(cached_over_switch);
             ++n_solo;
         }
-        identical =
-            identical && sw.retired == ca.retired && ca.retired == tr.retired;
+        identical = identical && sw.retired == ca.retired;
         const std::string name = bs.s.name();
         j.begin_object();
         j.key("scenario").value(name);
@@ -269,35 +257,25 @@ int engine_compare(const util::Cli& cli) {
         j.key("retired").value(sw.retired);
         j.key("switch_steps_per_sec").value(sw.steps_per_sec);
         j.key("cached_steps_per_sec").value(ca.steps_per_sec);
-        j.key("trace_steps_per_sec").value(tr.steps_per_sec);
         j.key("cached_over_switch").value(cached_over_switch);
-        j.key("trace_over_cached").value(trace_over_cached);
         j.end_object();
     }
     j.end_array();
-    const double geo_cached =
-        std::exp(log_cached / static_cast<double>(scenarios.size()));
-    const double geo_trace_solo =
-        n_solo ? std::exp(log_trace_solo / static_cast<double>(n_solo)) : 1.0;
-    const double geo_trace_multi =
-        n_multi ? std::exp(log_trace_multi / static_cast<double>(n_multi)) : 1.0;
+    const double geo_solo = std::exp(log_solo / static_cast<double>(n_solo));
+    const double geo_multi = std::exp(log_multi / static_cast<double>(n_multi));
     if (!baseline_path.empty())
-        baseline_ok = check_baseline(baseline, geo_cached, geo_trace_solo,
-                                     geo_trace_multi, tolerance);
-    j.key("geomean_cached_over_switch").value(geo_cached);
-    j.key("geomean_trace_over_cached_solo").value(geo_trace_solo);
-    j.key("geomean_trace_over_cached_multi").value(geo_trace_multi);
+        baseline_ok = check_baseline(baseline, geo_solo, geo_multi, tolerance);
+    j.key("geomean_cached_over_switch_solo").value(geo_solo);
+    j.key("geomean_cached_over_switch_multi").value(geo_multi);
     j.key("gates").begin_object();
-    j.key("cached_over_switch").value(gate);
-    j.key("trace_solo").value(trace_gate_solo);
-    j.key("trace_multi").value(trace_gate_multi);
+    j.key("solo").value(kGateSolo);
+    j.key("multi").value(kGateMulti);
     j.end_object();
     j.key("retired_identical").value(identical);
     j.key("baseline_checked").value(!baseline_path.empty());
     j.key("baseline_ok").value(baseline_ok);
-    const bool pass = identical && baseline_ok && geo_cached >= gate &&
-                      geo_trace_solo >= trace_gate_solo &&
-                      geo_trace_multi >= trace_gate_multi;
+    const bool pass = identical && baseline_ok && geo_solo >= kGateSolo &&
+                      geo_multi >= kGateMulti;
     j.key("pass").value(pass);
     j.end_object();
 
@@ -315,18 +293,14 @@ int engine_compare(const util::Cli& cli) {
 
     if (!identical)
         std::fprintf(stderr, "FAIL: engines retired different counts\n");
-    else if (geo_cached < gate)
+    else if (geo_solo < kGateSolo)
         std::fprintf(stderr,
-                     "FAIL: cached-engine speedup %.2fx below the %.2fx gate\n",
-                     geo_cached, gate);
-    else if (geo_trace_solo < trace_gate_solo)
+                     "FAIL: cached solo speedup %.2fx below the %.2fx gate\n",
+                     geo_solo, kGateSolo);
+    else if (geo_multi < kGateMulti)
         std::fprintf(stderr,
-                     "FAIL: trace solo speedup %.2fx below the %.2fx gate\n",
-                     geo_trace_solo, trace_gate_solo);
-    else if (geo_trace_multi < trace_gate_multi)
-        std::fprintf(stderr,
-                     "FAIL: trace multi-core speedup %.2fx below the %.2fx gate\n",
-                     geo_trace_multi, trace_gate_multi);
+                     "FAIL: cached multi-core speedup %.2fx below the %.2fx gate\n",
+                     geo_multi, kGateMulti);
     else if (!baseline_ok)
         std::fprintf(stderr, "FAIL: regression against %s\n",
                      baseline_path.c_str());
@@ -437,7 +411,7 @@ int telemetry_overhead(const util::Cli& cli) {
 // Perf-smoke presence gate for the uncore fault spaces: one small campaign
 // per uncore kind (cache-tag / cache-data / bus) on each execution engine,
 // timed, with the outcome databases required to be byte-identical across
-// the three engines — the uncore subsystem's determinism contract on the
+// the engines — the uncore subsystem's determinism contract on the
 // exact path CI archives perf numbers for. Exit non-zero when the engines'
 // databases differ.
 int uncore_smoke(const util::Cli& cli) {
@@ -456,12 +430,11 @@ int uncore_smoke(const util::Cli& cli) {
         return cfg;
     };
 
-    constexpr sim::Engine kEngines[] = {sim::Engine::Switch,
-                                        sim::Engine::Cached, sim::Engine::Trace};
-    constexpr const char* kEngineNames[] = {"switch", "cached", "trace"};
-    std::string dbs[3];
-    double secs[3] = {};
-    for (unsigned i = 0; i < 3; ++i) {
+    constexpr sim::Engine kEngines[] = {sim::Engine::Switch, sim::Engine::Cached};
+    constexpr const char* kEngineNames[] = {"switch", "cached"};
+    std::string dbs[2];
+    double secs[2] = {};
+    for (unsigned i = 0; i < 2; ++i) {
         std::ostringstream csv, jsonl;
         orch::BatchOptions opts;
         opts.threads = 1; // wall time == work time
@@ -478,7 +451,7 @@ int uncore_smoke(const util::Cli& cli) {
         secs[i] = std::chrono::duration<double>(t1 - t0).count();
         dbs[i] = csv.str() + "\x1e" + jsonl.str();
     }
-    const bool identical = dbs[0] == dbs[1] && dbs[0] == dbs[2];
+    const bool identical = dbs[0] == dbs[1];
 
     std::ostringstream out;
     util::JsonWriter j(out);
@@ -489,7 +462,7 @@ int uncore_smoke(const util::Cli& cli) {
     for (const char* k : {"cache-tag", "cache-data", "bus"}) j.value(k);
     j.end_array();
     j.key("engines").begin_array();
-    for (unsigned i = 0; i < 3; ++i) {
+    for (unsigned i = 0; i < 2; ++i) {
         j.begin_object();
         j.key("engine").value(kEngineNames[i]);
         j.key("seconds").value(secs[i]);
@@ -520,7 +493,6 @@ int uncore_smoke(const util::Cli& cli) {
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_SimulatorMips, v8_int_trace, kV8, sim::Engine::Trace);
 BENCHMARK_CAPTURE(BM_SimulatorMips, v8_int_cached, kV8, sim::Engine::Cached);
 BENCHMARK_CAPTURE(BM_SimulatorMips, v8_int_switch, kV8, sim::Engine::Switch);
 BENCHMARK_CAPTURE(BM_SimulatorMips, v7_int_cached, kV7, sim::Engine::Cached);

@@ -43,9 +43,8 @@ orch::BatchOptions batch_options_impl(const ExperimentSpec& spec) {
     opts.ladder.enabled = spec.checkpoints;
     opts.ladder.delta_snapshots = spec.delta;
     opts.ladder.adaptive = spec.adaptive;
-    opts.engine = spec.engine == "switch"  ? sim::Engine::Switch
-                  : spec.engine == "trace" ? sim::Engine::Trace
-                                           : sim::Engine::Cached;
+    opts.engine = spec.engine == "switch" ? sim::Engine::Switch
+                                          : sim::Engine::Cached;
     opts.prune = spec.prune;
     return opts;
 }

@@ -470,8 +470,8 @@ void ExperimentSpec::validate() const {
                                   "prune.enabled or the uncore kind)");
 
     util::check_usage(
-        engine == "cached" || engine == "switch" || engine == "trace",
-        "spec: engine.engine '" + engine + "' (cached | switch | trace)");
+        engine == "cached" || engine == "switch",
+        "spec: engine.engine '" + engine + "' (cached | switch)");
     util::check_usage(threads >= 1, "spec: engine.threads must be >= 1");
 
     util::check_usage(shards >= 1 && shards <= 4096,

@@ -94,7 +94,7 @@ struct ExperimentSpec {
     unsigned ci_min = 20;
 
     // ---- engine / checkpoint knobs (not part of the spec hash) ---------
-    std::string engine = "cached"; ///< "cached" / "switch" / "trace"
+    std::string engine = "cached"; ///< "cached" / "switch"
     unsigned threads = 2;
     std::uint64_t stride = 0; ///< fixed checkpoint stride; 0 = auto
     bool checkpoints = true;

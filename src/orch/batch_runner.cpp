@@ -169,6 +169,35 @@ void BatchRunner::flush_ready() {
     }
 }
 
+core::FaultRecord BatchRunner::simulate_fault(const JobState& job,
+                                              std::uint32_t i, bool counted) {
+    const core::Fault& f = job.faults[i];
+    sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
+    const std::uint64_t clone_retired = run.total_retired();
+    run.run_until(f.at_retired);
+    core::apply_fault(run, f.target);
+    run.run_until(job.budget);
+    const bool watchdog = run.status() == sim::RunStatus::Running;
+    core::FaultRecord rec;
+    rec.fault = f;
+    rec.outcome = core::classify(run, job.golden->ref, watchdog);
+    rec.retired = run.total_retired();
+    if (counted) {
+        ff_retired_.fetch_add(f.at_retired - clone_retired,
+                              std::memory_order_relaxed);
+        if (tm::enabled()) {
+            static const tm::MetricId kSteps = tm::counter_id("engine.steps");
+            static const tm::MetricId kRuns = tm::counter_id("batch.fault_runs");
+            // Clone caches carry the rung's warm counts, so only the step
+            // delta and the copy-reset superblock stats are per-run facts.
+            tm::count(kSteps, run.total_retired() - clone_retired);
+            tm::count(kRuns);
+            fold_trace_stats(run);
+        }
+    }
+    return rec;
+}
+
 void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                            Scheduler& pool) {
     // Phase 1+2 (per distinct scenario): golden execution + checkpoint
@@ -345,30 +374,8 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
         pool.parallel_for(tasks.size(), [&](std::size_t t) {
             JobState& job = *tasks[t].first;
             const std::uint32_t i = tasks[t].second;
-            const core::Fault& f = job.faults[i];
-            sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
-            const std::uint64_t clone_retired = run.total_retired();
-            ff_retired_.fetch_add(f.at_retired - clone_retired,
-                                  std::memory_order_relaxed);
-            run.run_until(f.at_retired);
-            core::apply_fault(run, f.target);
-            run.run_until(job.budget);
-            const bool watchdog = run.status() == sim::RunStatus::Running;
-            core::FaultRecord rec;
-            rec.fault = f;
-            rec.outcome = core::classify(run, job.golden->ref, watchdog);
-            rec.retired = run.total_retired();
+            const core::FaultRecord rec = simulate_fault(job, i, true);
             job.result.records[i] = rec;
-            if (tm::enabled()) {
-                static const tm::MetricId kSteps = tm::counter_id("engine.steps");
-                static const tm::MetricId kRuns =
-                    tm::counter_id("batch.fault_runs");
-                // Clone caches carry the rung's warm counts, so only the step
-                // delta and the copy-reset trace stats are per-run facts here.
-                tm::count(kSteps, run.total_retired() - clone_retired);
-                tm::count(kRuns);
-                fold_trace_stats(run);
-            }
             // Pruning: every member of this representative's equivalence class
             // has a bit-identical faulty future, so its record is this one
             // with the fault field swapped and inferred provenance.
@@ -421,27 +428,20 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
         pool.parallel_for(vtasks.size(), [&](std::size_t t) {
             JobState& job = *vtasks[t].job;
             const std::uint32_t i = vtasks[t].i;
-            const core::Fault& f = job.faults[i];
-            sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
-            run.run_until(f.at_retired);
-            core::apply_fault(run, f.target);
-            run.run_until(job.budget);
-            const bool watchdog = run.status() == sim::RunStatus::Running;
-            const core::Outcome outcome =
-                core::classify(run, job.golden->ref, watchdog);
-            const std::uint64_t retired = run.total_retired();
+            const core::FaultRecord redo = simulate_fault(job, i, false);
             const core::FaultRecord& rec = job.result.records[i];
-            if (outcome == rec.outcome && retired == rec.retired) {
+            if (redo.outcome == rec.outcome && redo.retired == rec.retired) {
                 verified.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
             std::lock_guard<std::mutex> lk(verify_mu_);
             verify_failures_.push_back(
                 job.scenario.name() + " fault " + std::to_string(i) +
-                " (at=" + std::to_string(f.at_retired) +
+                " (at=" + std::to_string(redo.fault.at_retired) +
                 "): recorded " + core::outcome_name(rec.outcome) + "/" +
                 std::to_string(rec.retired) + ", simulated " +
-                core::outcome_name(outcome) + "/" + std::to_string(retired));
+                core::outcome_name(redo.outcome) + "/" +
+                std::to_string(redo.retired));
         });
         verified_records_ += verified.load(std::memory_order_relaxed);
         if (tm::enabled())

@@ -44,9 +44,9 @@ struct BatchOptions {
     unsigned threads = 0; ///< pool width; 0 = the shared process-wide pool
     LadderOptions ladder; ///< checkpoint-ladder knobs (batch-wide)
     /// Execution engine for golden and fault runs. Outcomes are bit-identical
-    /// across all three (gated in tests and CI); Cached is ~1.5-2x faster
-    /// than Switch, Trace another ~2x over Cached on multi-core scenarios
-    /// (superblocks + tick-horizon bursts). The scenario's decode-once
+    /// across both (gated in tests and CI); Cached runs ~2.3x the steps/sec
+    /// of Switch on solo-core scenarios and ~1.6x on multi-core ones
+    /// (bench_micro --engines, class S geomeans). The scenario's decode-once
     /// ExecCache is built with the golden machine and shared by every clone
     /// the checkpoint ladder materializes.
     sim::Engine engine = sim::Engine::Cached;
@@ -149,6 +149,12 @@ private:
 
     GoldenEntry* golden_for(const npb::Scenario& s);
     void run_wave(const std::vector<std::size_t>& wave_jobs, Scheduler& pool);
+    /// One fault run of job fault `i`: clone the nearest rung, run to the
+    /// strike, apply the fault, run to the budget, classify. `counted` runs
+    /// feed fast_forward_retired() and the engine.steps telemetry; the
+    /// prune-verify re-runs pass false so those stay campaign facts.
+    core::FaultRecord simulate_fault(const JobState& job, std::uint32_t i,
+                                     bool counted);
     void complete_job(JobState& job);
     void drop_golden_ref(GoldenEntry* golden);
     void flush_ready();

@@ -153,10 +153,10 @@ CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& op
     // O(run_length / initial_stride).
     //
     // Rung alignment holds under every engine: run_until(boundary) stops at
-    // exactly `boundary` retired instructions — the trace engine clips its
+    // exactly `boundary` retired instructions — the cached engine clips its
     // superblock budget to the instructions left before stop_at (a rung
-    // never lands mid-trace), and the cached engine's burst re-checks the
-    // budget per step — so rung snapshots are engine-independent states.
+    // never lands mid-superblock), and the switch engine checks the budget
+    // per step — so rung snapshots are engine-independent states.
     while (m.status() == sim::RunStatus::Running && m.total_retired() < stop_at) {
         const std::uint64_t boundary = ladder.next_boundary();
         m.run_until(std::min(boundary, stop_at));

@@ -17,7 +17,7 @@ namespace serep::os {
 struct KernelConfig {
     unsigned quantum = 4000;          ///< time-slice in retired instructions.
                                       ///  Also the natural upper bound on a
-                                      ///  user-mode trace-engine burst: the
+                                      ///  user-mode cached-engine burst: the
                                       ///  TIMER countdown it arms clips every
                                       ///  superblock budget (sim::Machine::
                                       ///  burst_trace), so preemptions land

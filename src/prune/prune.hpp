@@ -22,7 +22,7 @@
 // addresses, branch decisions and op identities, all of which are bit-equal
 // between the golden and the faulty run up to the first real use. The walk
 // additionally relies on on_step firing exactly once per retired
-// instruction under every engine — superblock traces included (the trace
+// instruction under every engine — superblocks included (the cached
 // engine keeps the observer callback per step; engine_test gates this) —
 // since a skipped callback would silently corrupt the XOR diff.
 // The differential check (`serep run --prune=verify`) re-simulates a seeded

@@ -40,7 +40,7 @@ public:
         ++credits_;
     }
 
-    /// Bulk form of credit_hit: the trace engine counts consecutive
+    /// Bulk form of credit_hit: the cached engine counts consecutive
     /// MRU-filtered I-fetch hits inside a superblock segment locally and
     /// flushes them in one call at the segment end (or at a side exit, so a
     /// trace that traps mid-way credits exactly the fetches that happened).

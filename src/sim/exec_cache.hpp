@@ -63,7 +63,7 @@ public:
         return instrs_[i];
     }
 
-    /// Superblock run length for the trace engine: the number of consecutive
+    /// Superblock run length for the cached engine: the number of consecutive
     /// records starting at `i` that are straight-line safe — every one of
     /// them, when it retires, falls through to pc+4 without touching the
     /// interpreter's branch state. 0 means record `i` itself is a trace

@@ -69,7 +69,7 @@ std::uint64_t shift_right_arith(std::uint64_t v, unsigned amt, unsigned w) noexc
     return static_cast<std::uint64_t>(s >> amt) & low_mask(w);
 }
 
-/// Can the trace engine execute this ender inline and keep bursting? Pure
+/// Can the cached engine execute this ender inline and keep bursting? Pure
 /// control transfers cannot change mode, trap, or touch machine-wide state;
 /// everything else ends the burst: SVC/ERET (mode switch), WFI/HLT (runnable
 /// set), SYSRD/SYSWR (IPIs, timers, shutdown), UDF (trap), and V7 pc-writing
@@ -346,22 +346,7 @@ RunStatus Machine::run_until(std::uint64_t stop_at) {
             status_ = RunStatus::Deadlock;
             break;
         }
-        if (engine_ == Engine::Cached && runnable == 1) {
-            // Burst: with every other core halted or sleeping without a
-            // pending wake, the scan above would re-select this core until
-            // it sleeps, halts, or posts an IPI (sched_event_) — so skip
-            // the scan entirely. The schedule is exactly the reference one:
-            // no other core can become runnable during the burst.
-            CoreState& k = cores_[static_cast<unsigned>(best)];
-            sched_event_ = false;
-            do {
-                step_cached(static_cast<unsigned>(best));
-            } while (status_ == RunStatus::Running &&
-                     total_retired_ < stop_at && !sched_event_ &&
-                     !k.sleeping && !k.halted);
-            continue;
-        }
-        if (engine_ == Engine::Trace) {
+        if (engine_ == Engine::Cached) {
             if (runnable == 1) {
                 // Solo regime: no rival can claim the scan (sleepers stay
                 // asleep without an IPI, which sets sched_event_), so the
@@ -378,23 +363,12 @@ RunStatus Machine::run_until(std::uint64_t stop_at) {
             }
             continue;
         }
-        step(static_cast<unsigned>(best));
+        step_switch(static_cast<unsigned>(best));
     }
     // Settle deferred uncore corruption (pending bus flips/restores) at the
     // run boundary, before the caller hashes or classifies machine state.
     if (uncore_.ptr) uncore_.ptr->on_run_boundary(*this);
     return status_;
-}
-
-void Machine::step(unsigned ci) {
-    // The trace engine single-steps through step_cached (same ExecCache
-    // facts, same step mechanics) — burst_trace falls back to it for trace
-    // enders, overlaid pages, and interrupt delivery.
-    if (engine_ == Engine::Switch) {
-        step_switch(ci);
-    } else {
-        step_cached(ci);
-    }
 }
 
 const DecodedInstr* Machine::fetch_decoded(std::size_t idx) {
@@ -442,11 +416,12 @@ void Machine::refresh_code_overlay() {
     }
 }
 
-/// The cached engine's step: identical semantics to step_switch(), with the
-/// per-instruction facts read from the DecodedInstr instead of re-derived,
-/// dispatch through the pre-resolved handler pointer, and MRU line filters
-/// in front of the L1 models (bit-identical cache evolution, see
-/// Cache::credit_hit).
+/// The cached engine's single step, which the superblock loops fall back to
+/// for run enders, overlaid pages, and interrupt delivery: identical
+/// semantics to step_switch(), with the per-instruction facts read from the
+/// DecodedInstr instead of re-derived, dispatch through the pre-resolved
+/// handler pointer, and MRU line filters in front of the L1 models
+/// (bit-identical cache evolution, see Cache::credit_hit).
 ///
 /// The interrupt-preemption preamble and the retire epilogue here must stay
 /// in lockstep with step_switch(): unlike the op handlers (independent on
@@ -547,7 +522,7 @@ bool Machine::trace_page_overlaid(std::size_t idx) const noexcept {
     return false;
 }
 
-/// One trace unit of the superblock engine. Semantics are *defined* by
+/// One superblock unit of the cached engine. Semantics are *defined* by
 /// step_cached (and transitively by step_switch): executing a superblock is
 /// exactly the sequence of step_cached calls for its instructions, with the
 /// per-step work that is provably constant across the run hoisted out:
@@ -768,7 +743,7 @@ out:
     if (iline_credits != 0) l1i.credit_hits(iline_credits);
 }
 
-/// One scheduler-grade step of core `ci` under the trace engine, with a
+/// One scheduler-grade step of core `ci` under the cached engine, with a
 /// persistent per-core cursor (tcur_[ci]) memoising the segment derivation
 /// — translation, overlay-page check, user fetch permission, run length —
 /// across the interleaved steps of run_trace_multi. The cursor is a pure

@@ -28,19 +28,20 @@ namespace serep::sim {
 
 enum class Mode : std::uint8_t { USER, KERNEL };
 
-/// Execution engine selection. All engines are bit-identical in every
+/// Execution engine selection. Both engines are bit-identical in every
 /// observable (registers, memory, outcome databases, counters, ticks) —
 /// gated by tests/engine_test.cpp — so the choice is purely about speed:
 ///  * Switch — the legacy single-switch interpreter, kept as the reference
 ///    implementation for differential testing.
-///  * Cached — decode-once engine: pre-resolved handler dispatch through the
-///    shared ExecCache, MRU line filters in front of the L1 models, and a
-///    solo-core burst loop in run_until().
-///  * Trace — superblock engine on top of the same ExecCache: straight-line
-///    runs of predecoded handlers (ExecCache::run_len) execute as a unit
-///    with hoisted per-trace checks, and run_until() gives *every* runnable
-///    core a tick-horizon burst between scheduler scans (see run_until).
-enum class Engine : std::uint8_t { Switch, Cached, Trace };
+///  * Cached — the production engine: decode-once handler dispatch through
+///    the shared ExecCache, MRU line filters in front of the L1 models, and
+///    superblocks — straight-line runs of predecoded handlers
+///    (ExecCache::run_len) executed as a unit with hoisted per-run checks.
+///    run_until() gives a solo core an unbounded burst and every runnable
+///    core a tick-horizon burst between scheduler scans. bench_micro
+///    --engines measures it at ~2.3x Switch's steps/sec on solo-core
+///    scenarios and ~1.6x on multi-core ones (class S geomeans).
+enum class Engine : std::uint8_t { Switch, Cached };
 
 enum class RunStatus : std::uint8_t {
     Running,      ///< stopped because the instruction budget was reached
@@ -74,8 +75,8 @@ public:
 /// Uncore fault-injection hook (src/uncore/). Armed on a fault-run clone by
 /// uncore::inject, never present on golden runs or checkpoint rungs (the
 /// slot has copy-reset semantics like StepObserver). Callbacks fire on the
-/// machine's stepping thread at points that are bit-identical across all
-/// three engines:
+/// machine's stepping thread at points that are bit-identical across both
+/// engines:
 ///  * on_data_access — once per retiring data transaction (load or store),
 ///    after the address is resolved and the cache model updated, before the
 ///    bytes move. `l1_hit` is the L1D lookup result (true for MRU-filtered
@@ -229,9 +230,10 @@ public:
     const CoreCounters& counters(unsigned c) const { return counters_[c]; }
     const MachineCounters& machine_counters() const noexcept { return mcounters_; }
 
-    /// Trace-engine execution tallies (telemetry only — never consulted by
-    /// the engines). Copy-reset like ObserverSlot: clones start at zero, so
-    /// per-run folds read absolute values since clone_nearest.
+    /// Superblock execution tallies of the cached engine (telemetry only —
+    /// never consulted by the engines). Copy-reset like ObserverSlot: clones
+    /// start at zero, so per-run folds read absolute values since
+    /// clone_nearest.
     struct TraceStats {
         std::uint64_t bursts = 0;      ///< superblock segments entered
         std::uint64_t chain_links = 0; ///< inline chains through stable enders
@@ -267,7 +269,7 @@ public:
     // ---- uncore fault injection (src/uncore/) ----
     /// Attach the uncore hook (nullptr detaches) and reset the MRU line
     /// filters. The reset is mandatory for tag faults: retagging a way away
-    /// from the filtered line would otherwise let the cached/trace engines
+    /// from the filtered line would otherwise let the cached engine
     /// credit a hit the switch engine's real lookup no longer sees. Clearing
     /// the filters is observable-neutral (the next touch re-looks-up a line
     /// that is still MRU, so tags/ages/hit counts stay bit-identical; only
@@ -290,7 +292,6 @@ public:
 private:
     friend struct ExecOps; ///< per-op handlers of the cached engine
 
-    void step(unsigned c);
     void step_switch(unsigned c);
     void step_cached(unsigned c);
     /// Resumable superblock position of one core inside a run_trace_multi
@@ -423,8 +424,8 @@ private:
     std::uint64_t code_gen_seen_ = 0;
     /// Burst-break flag — the contract between sysreg_write(IPI_SEND) and
     /// the burst loops in run_until(): cleared when a scheduler scan hands
-    /// a core its burst, set by any IPI post, and checked after every step
-    /// (cached engine) or trace unit (trace engine). An IPI posted
+    /// a core its burst, set by any IPI post, and checked after every
+    /// superblock unit (the switch engine never bursts). An IPI posted
     /// mid-burst therefore ends the burst at the next unit boundary and
     /// forces a fresh scan — which recomputes the runnable set and the next
     /// tick horizon with the newly woken core included. Never consulted

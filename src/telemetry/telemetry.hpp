@@ -14,7 +14,7 @@
 //    hook in the hot layers (engine folds, checkpoint rungs, prune tallies)
 //    guards on it and the instrumented counters themselves live at coarse
 //    boundaries — per golden run, per fault run, per rung — never per
-//    instruction. The trace engine's burst/chain/fallback counts are plain
+//    instruction. The cached engine's burst/chain/fallback counts are plain
 //    machine-local members (sim::Machine::TraceStats) folded here at run
 //    completion, so the simulator's inner loops carry no telemetry calls at
 //    all. bench_micro --telemetry gates the enabled-vs-disabled steps/sec

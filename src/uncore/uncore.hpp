@@ -53,7 +53,7 @@
 //               transaction masks the fault.
 //
 // Eviction is observed by probing the target cache at every subsequent data
-// access (hook events are bit-identical across all three engines, so the
+// access (hook events are bit-identical across both engines, so the
 // observation points are too). An eviction caused by an instruction fetch is
 // therefore charged at the *next data access* — and an access to the watched
 // line that misses (resident_before == false) proves such an eviction

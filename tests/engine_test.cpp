@@ -1,15 +1,15 @@
 // Differential tests for the decode-once execution engines.
 //
 // The cached engine (pre-decoded ExecCache + handler-table dispatch + MRU
-// line/translation filters + burst scheduling) and the trace engine
-// (superblocks of straight-line predecoded handlers with hoisted per-trace
-// checks + tick-horizon multicore bursts) must both be bit-identical to the
-// legacy switch interpreter in every observable: registers, memory, ticks,
-// counters, outcome databases, and the StepObserver callback stream. This
-// file cross-checks the three independent implementations on random
-// programs, random faults, whole campaigns, fault-corrupted guest text
-// (the mirror/overlay re-decode path — including corruption landing *ahead*
-// of a parked mid-trace cursor), and IPI ping-pong scheduling.
+// line/translation filters + superblocks of straight-line predecoded
+// handlers with hoisted per-run checks + solo and tick-horizon multicore
+// bursts) must be bit-identical to the legacy switch interpreter in every
+// observable: registers, memory, ticks, counters, outcome databases, and
+// the StepObserver callback stream. This file cross-checks the two
+// independent implementations on random programs, random faults, whole
+// campaigns, fault-corrupted guest text (the mirror/overlay re-decode path —
+// including corruption landing *ahead* of a parked mid-superblock cursor),
+// and IPI ping-pong scheduling.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -57,8 +57,7 @@ std::uint64_t fingerprint(const sim::Machine& m) {
 /// Every engine, reference implementation first: differential loops below
 /// compare each engine's observables against the Switch run of the same
 /// program.
-constexpr sim::Engine kAllEngines[] = {sim::Engine::Switch, sim::Engine::Cached,
-                                       sim::Engine::Trace};
+constexpr sim::Engine kAllEngines[] = {sim::Engine::Switch, sim::Engine::Cached};
 
 /// run_kernel_snippet, but returning the *unrun* machine so the test can
 /// pick an engine (and corrupt text) before execution.
@@ -250,21 +249,22 @@ TEST_P(EngineBothProfiles, RandomProgramsRunBitIdenticallyOnAllEngines) {
 }
 
 TEST_P(EngineBothProfiles, RandomFaultsDivergeIdenticallyOnAllEngines) {
-    // Inject the same random register/memory faults mid-run on all three
-    // engines; the (possibly crashing, hanging, or trapping) aftermath must
+    // Inject the same random register/memory faults mid-run on every
+    // engine; the (possibly crashing, hanging, or trapping) aftermath must
     // match bit for bit. The fault instant is a run_until stop_at, so under
-    // the trace engine it lands *inside* superblock windows — the budget
-    // clip must park the trace exactly at the injection point, and a MEM
-    // fault striking text must invalidate the parked cursor.
+    // the cached engine it lands *inside* superblock windows — the budget
+    // clip must park the superblock exactly at the injection point, and a
+    // MEM fault striking text must invalidate the parked cursor.
     const isa::Profile p = GetParam();
     const npb::Scenario s{p, npb::App::DC, npb::Api::Serial, 1,
                           npb::Klass::Mini};
     util::Rng rng(0xFA017);
     for (unsigned trial = 0; trial < 12; ++trial) {
-        sim::Machine machines[] = {npb::make_machine(s, false),
-                                   npb::make_machine(s, false),
-                                   npb::make_machine(s, false)};
-        for (unsigned i = 0; i < 3; ++i) machines[i].set_engine(kAllEngines[i]);
+        std::vector<sim::Machine> machines;
+        for (const sim::Engine e : kAllEngines) {
+            machines.push_back(npb::make_machine(s, false));
+            machines.back().set_engine(e);
+        }
         const std::uint64_t at = 1000 + rng.below(60'000);
 
         core::FaultTarget t;
@@ -289,7 +289,7 @@ TEST_P(EngineBothProfiles, RandomFaultsDivergeIdenticallyOnAllEngines) {
             core::apply_fault(m, t);
             m.run_until(2'000'000);
         }
-        for (unsigned i = 1; i < 3; ++i) {
+        for (std::size_t i = 1; i < machines.size(); ++i) {
             ASSERT_EQ(fingerprint(machines[i]), fingerprint(machines[0]))
                 << "trial " << trial << " engine " << i << " kind "
                 << static_cast<int>(t.kind) << " phys " << t.phys;
@@ -302,7 +302,7 @@ TEST_P(EngineBothProfiles, RandomFaultsDivergeIdenticallyOnAllEngines) {
 TEST(Engine, MulticoreOmpAndMpiRunBitIdenticallyOnAllEngines) {
     // Multicore exercises what serial cannot: the burst loops' fallback to
     // the scheduler scan, IPI wakeups (sched_event_), per-core MRU filters,
-    // the trace engine's round/tick-horizon scheduling, and the shared L2.
+    // the cached engine's round/tick-horizon scheduling, and the shared L2.
     // Faulted runs perturb the interleaving too.
     for (npb::Api api : {npb::Api::OMP, npb::Api::MPI}) {
         for (isa::Profile p : {isa::Profile::V7, isa::Profile::V8}) {
@@ -342,8 +342,8 @@ TEST(Engine, CampaignDatabasesAreByteIdenticalAcrossEnginesAndKinds) {
     core::CampaignConfig mem = gpr;
     mem.memory_faults = true;
 
-    std::string out[3];
-    for (unsigned i = 0; i < 3; ++i) {
+    std::string out[std::size(kAllEngines)];
+    for (std::size_t i = 0; i < std::size(kAllEngines); ++i) {
         std::ostringstream csv, jsonl;
         orch::BatchOptions opts;
         opts.threads = 4;
@@ -359,7 +359,6 @@ TEST(Engine, CampaignDatabasesAreByteIdenticalAcrossEnginesAndKinds) {
         out[i] = csv.str() + "\x1e" + jsonl.str();
     }
     EXPECT_EQ(out[0], out[1]);
-    EXPECT_EQ(out[0], out[2]);
     EXPECT_NE(out[0].find("mem"), std::string::npos);
 }
 
@@ -450,8 +449,8 @@ TEST_P(EngineBothProfiles, StepObserverFiresExactlyOncePerRetiredInstruction) {
     // The same deterministic program under every engine: the observer's
     // (steps, traps, fold) must be engine-invariant, and on an abort-free
     // run `steps` equals exactly the retired count — no instruction is
-    // observed twice (burst restarts, trace re-derivation) or skipped
-    // (mid-trace retirements execute through the hoisted fast path).
+    // observed twice (burst restarts, superblock re-derivation) or skipped
+    // (mid-superblock retirements execute through the hoisted fast path).
     const isa::Profile p = GetParam();
     const auto body = [](Assembler& a) {
         util::Rng rng(0x0B5);
@@ -476,11 +475,11 @@ TEST_P(EngineBothProfiles, StepObserverFiresExactlyOncePerRetiredInstruction) {
 }
 
 TEST(Engine, StepObserverAttachedMidRunSeesEveryRemainingInstruction) {
-    // Attach at an instant the trace engine reaches with a parked mid-trace
-    // cursor (run_until clips superblock budgets to stop exactly at the
-    // boundary): from there on, every engine must observe the identical
-    // callback stream, and the count must equal the retired delta — the
-    // resumed trace may not replay the pre-attach prefix of its superblock.
+    // Attach at an instant the cached engine reaches with a parked
+    // mid-superblock cursor (run_until clips superblock budgets to stop
+    // exactly at the boundary): from there on, every engine must observe the
+    // identical callback stream, and the count must equal the retired delta
+    // — the resumed superblock may not replay its pre-attach prefix.
     const npb::Scenario s{isa::Profile::V8, npb::App::DC, npb::Api::Serial, 1,
                           npb::Klass::Mini};
     CountingObserver want;
@@ -503,7 +502,7 @@ TEST(Engine, StepObserverAttachedMidRunSeesEveryRemainingInstruction) {
 }
 
 TEST(Engine, StepObserverCountsEveryCoreUnderTheMulticoreScheduler) {
-    // 2-core OMP under the trace engine runs through run_trace_multi's
+    // 2-core OMP under the cached engine runs through run_trace_multi's
     // round/tick-horizon regimes; the per-core interleaving is part of the
     // observer fold, so the hash check pins the schedule itself.
     const npb::Scenario s{isa::Profile::V8, npb::App::IS, npb::Api::OMP, 2,
@@ -578,9 +577,9 @@ TEST_P(EngineBothProfiles, IpiPingPongSchedulesIdenticallyOnAllEngines) {
 
 TEST(Engine, TextFaultAheadOfAParkedTraceCursorInvalidatesTheTrace) {
     // Corrupt an instruction *downstream* of where run_until parked a
-    // mid-superblock cursor: the resumed trace must not execute the stale
-    // predecoded record. 200 straight-line `add 1` steps make one long
-    // trace; we stop inside it, flip the 150th add into `add 9`, resume,
+    // mid-superblock cursor: the resumed superblock must not execute the
+    // stale predecoded record. 200 straight-line `add 1` steps make one long
+    // superblock; we stop inside it, flip the 150th add into `add 9`, resume,
     // and every engine must exit with 42 + 199*1 + 9 = 250.
     std::uint64_t first_add = 0;
     const auto body = [&](Assembler& a) {

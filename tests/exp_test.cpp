@@ -189,6 +189,10 @@ TEST(ExperimentSpec, RejectsMalformedSpecsNamingTheOffender) {
     expect_reject(R"({"shard": {"partition": "striped"}})", "striped");
     expect_reject(R"({"shard": {"weights": [1, 2]}})", "weighted");
     expect_reject(R"({"engine": {"engine": "jit"}})", "jit");
+    // The superblock loop is the cached engine: a spec naming "trace" must
+    // fail (exit 2) and say which engines exist.
+    expect_reject(R"({"engine": {"engine": "trace"}})", "'trace'");
+    expect_reject(R"({"engine": {"engine": "trace"}})", "(cached | switch)");
     expect_reject(R"({"fault": {"seed": "0xZZ"}})", "0xZZ");
     expect_reject(R"({"report": {"confidence": 1.5}})", "confidence");
     // 2^32 + 60 must not silently wrap into a 60-fault campaign (whose spec
