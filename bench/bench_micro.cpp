@@ -440,13 +440,11 @@ int uncore_smoke(const util::Cli& cli) {
         opts.threads = 1; // wall time == work time
         opts.engine = kEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(kV8, cfg_for(core::FaultTarget::Kind::CacheTag));
         runner.add(kV8, cfg_for(core::FaultTarget::Kind::CacheData));
         runner.add(multi, cfg_for(core::FaultTarget::Kind::Bus));
         const auto t0 = std::chrono::steady_clock::now();
-        runner.run_all();
+        core::write_campaign_streams(runner.run_all(), &csv, &jsonl);
         const auto t1 = std::chrono::steady_clock::now();
         secs[i] = std::chrono::duration<double>(t1 - t0).count();
         dbs[i] = csv.str() + "\x1e" + jsonl.str();

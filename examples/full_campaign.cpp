@@ -1,46 +1,44 @@
-// Phase-4 database tool: run the paper's full 130-scenario campaign (or a
-// filtered subset) and stream the merged per-fault record database (CSV),
-// the per-campaign summaries (JSONL) and the joined profiling dataset
-// (CSV) — the artifacts the paper's data-mining tool consumes.
+// Phase-4 database tool: run an experiment spec — the paper's full
+// 130-scenario campaign is examples/specs/paper_full_s.json — and write the
+// merged per-fault record database (CSV), the per-campaign summaries
+// (JSONL) and the joined profiling dataset (CSV): the artifacts the paper's
+// data-mining tool consumes.
 //
-//   ./full_campaign --faults 100 --out campaign
-//   ./full_campaign --isa v8 --api MPI --faults 500 --threads 8
-//   ./full_campaign --stride 100000        # fixed checkpoint stride
-//   ./full_campaign --no-checkpoints       # from-reset replay per fault
-//   ./full_campaign --no-delta             # full-copy checkpoint rungs
+//   ./full_campaign ../examples/specs/paper_full_s.json
 //
-// This is now a thin client of src/exp/: the flags synthesize an
-// ExperimentSpec and exp::run_experiment drives the whole pipeline — the
-// same code path as `serep run` / `serep campaign`, byte-identical
-// databases included. For sharding across processes or hosts, declare
-// shard.count in a spec and use `serep run spec.json --shard=k/n`, or the
-// legacy `serep shard` / `serep merge`.
+// The spec runs exactly as under `serep run SPEC.json` (shards, resume,
+// reports and all); this tool then adds `<out>_dataset.csv`, the scenario x
+// metric join. Filters, fault counts and engine knobs live in the spec.
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "exp/driver.hpp"
 #include "mine/mining.hpp"
 #include "prof/profile.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 
 using namespace serep;
 
 int main(int argc, char** argv) {
-    util::Cli cli(argc, argv);
     try {
-        cli.require_known(exp::legacy_cli_flags());
-        exp::ExperimentPlan plan(exp::spec_from_legacy_cli(cli));
+        util::check_usage(argc == 2, "usage: full_campaign SPEC.json");
+        std::ifstream in(argv[1]);
+        util::check_usage(in.good(),
+                          std::string("cannot read experiment spec ") + argv[1]);
+        std::ostringstream text;
+        text << in.rdbuf();
+        exp::ExperimentPlan plan(exp::ExperimentSpec::load(text.str()));
         const exp::ExperimentSpec& spec = plan.spec();
-        std::printf("campaign over %zu of the paper's scenarios, %u faults "
-                    "each, %u threads, checkpoints %s\n",
-                    plan.jobs().size(), spec.faults, spec.threads,
-                    spec.checkpoints ? "on" : "off");
-
-        exp::DriverOptions opts;
-        opts.resume = false;
-        opts.direct = true; // legacy single-pass semantics, bytes unchanged
-        const exp::DriverResult res = exp::run_experiment(plan, opts);
+        util::check_usage(!spec.out.empty(),
+                          "the spec needs an out prefix for its databases");
+        const exp::DriverResult res = exp::run_experiment(plan);
+        // A resumed adaptive experiment skips its run and returns no
+        // results, so there is nothing to join.
+        util::check(res.results.size() == plan.jobs().size(),
+                    "no campaign results to join: the adaptive experiment "
+                    "resumed complete — delete " + plan.state_path() +
+                        " to re-run it");
 
         mine::Dataset dataset;
         for (std::size_t i = 0; i < plan.jobs().size(); ++i)

@@ -172,4 +172,17 @@ std::string campaign_json(const CampaignResult& r) {
     return os.str();
 }
 
+void write_campaign_streams(const std::vector<CampaignResult>& results,
+                            std::ostream* csv, std::ostream* jsonl) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (csv) {
+            const std::string rows = campaign_csv(results[i]);
+            const std::size_t from = i == 0 ? 0 : rows.find('\n') + 1;
+            csv->write(rows.data() + from,
+                       static_cast<std::streamsize>(rows.size() - from));
+        }
+        if (jsonl) *jsonl << campaign_json(results[i]) << '\n';
+    }
+}
+
 } // namespace serep::core

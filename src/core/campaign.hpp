@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <iosfwd>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -77,5 +78,12 @@ std::string campaign_csv(const CampaignResult& r);
 /// One campaign as a compact JSON object (the CSV database's JSON sibling):
 /// scenario, golden reference, outcome counts/percentages, per-fault records.
 std::string campaign_json(const CampaignResult& r);
+
+/// The merged databases of a batch, in `results` order: one CSV header, then
+/// every campaign's campaign_csv rows; one campaign_json line per campaign
+/// (JSONL). Either sink may be null. The one writer behind every merged
+/// `<out>_faults.csv` / `<out>_campaigns.jsonl`.
+void write_campaign_streams(const std::vector<CampaignResult>& results,
+                            std::ostream* csv, std::ostream* jsonl);
 
 } // namespace serep::core

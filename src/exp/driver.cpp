@@ -173,9 +173,9 @@ ShardDbState classify_shard_db(const std::string& raw,
     }
     util::check_valid(has_hash,
                       label +
-                          " carries no experiment annotation (written by a "
-                          "legacy `serep shard`?) — delete it or move it out "
-                          "of the way");
+                          " carries no experiment annotation (not written by "
+                          "`serep run`) — delete it or move it out of the "
+                          "way");
     util::check_valid(
         hash == plan.spec_hash_hex(),
         label + " belongs to a different experiment (spec " + hash +
@@ -359,20 +359,11 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
                                                 batch_options(spec), sopts);
     }
 
-    std::ofstream csv(plan.csv_path());
-    std::ofstream jsonl(plan.jsonl_path());
-    util::check(csv.good(), "cannot open output file " + plan.csv_path());
-    util::check(jsonl.good(), "cannot open output file " + plan.jsonl_path());
     std::size_t space = 0;
+    res.results.reserve(adaptive.size());
     for (std::size_t i = 0; i < adaptive.size(); ++i) {
         const stats::AdaptiveJobResult& a = adaptive[i];
-        if (i == 0) {
-            csv << core::campaign_csv(a.result);
-        } else {
-            const std::string rows = core::campaign_csv(a.result);
-            csv << rows.substr(rows.find('\n') + 1);
-        }
-        jsonl << core::campaign_json(a.result) << '\n';
+        res.results.push_back(a.result);
         res.injected += a.result.records.size();
         space += a.fault_space;
         logf(opts.log,
@@ -382,6 +373,11 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
              a.fault_space, a.rounds, a.result.masked_pct(), a.max_half_width,
              a.converged ? "" : " (fault space exhausted)");
     }
+    std::ofstream csv(plan.csv_path());
+    std::ofstream jsonl(plan.jsonl_path());
+    util::check(csv.good(), "cannot open output file " + plan.csv_path());
+    util::check(jsonl.good(), "cannot open output file " + plan.jsonl_path());
+    core::write_campaign_streams(res.results, &csv, &jsonl);
     // Close before rendering: render_reports re-reads the JSONL from disk,
     // and a small experiment's tail can otherwise still sit in the filebuf.
     csv.close();
@@ -396,18 +392,13 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
          "sizing target-ci=%.3f: injected %zu of %zu faults -> %s, %s\n",
          spec.target_ci, res.injected, space, plan.csv_path().c_str(),
          plan.jsonl_path().c_str());
-    // The completion sidecar exists only for the resume machinery; the
-    // legacy shim (resume off) must not leave artifacts the old
-    // `serep campaign --target-ci` never produced.
-    if (opts.resume) write_state(plan);
-    res.results.reserve(adaptive.size());
-    for (const stats::AdaptiveJobResult& a : adaptive)
-        res.results.push_back(a.result);
+    write_state(plan);
     render_reports(plan, res, opts.log);
     return res;
 }
 
-DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
+/// The in-memory path (spec.out empty): one BatchRunner pass, no files.
+DriverResult run_in_memory(ExperimentPlan& plan, const DriverOptions& opts) {
     const ExperimentSpec& spec = plan.spec();
     DriverResult res;
     res.fault_space = plan.jobs().size() * spec.faults;
@@ -415,17 +406,6 @@ DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
     const orch::BatchOptions bopts = resolved_batch_options(spec, opts);
     orch::BatchRunner runner(bopts);
     for (const PlannedJob& j : plan.jobs()) runner.add(j.scenario, j.cfg);
-
-    std::ofstream csv, jsonl;
-    if (!spec.out.empty()) {
-        csv.open(plan.csv_path());
-        jsonl.open(plan.jsonl_path());
-        util::check(csv.good(), "cannot open output file " + plan.csv_path());
-        util::check(jsonl.good(),
-                    "cannot open output file " + plan.jsonl_path());
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
-    }
     res.results = runner.run_all();
     for (std::size_t i = 0; i < res.results.size(); ++i) {
         res.injected += res.results[i].records.size();
@@ -437,18 +417,6 @@ DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
     res.inferred = runner.inferred_records();
     log_prune(runner, bopts, opts.log);
     res.shards_run = 1;
-    if (!spec.out.empty()) {
-        // Close before rendering: render_reports re-reads the JSONL from
-        // disk and must see the buffered tail.
-        csv.close();
-        jsonl.close();
-        util::check(!csv.fail() && !jsonl.fail(),
-                    "error writing campaign databases");
-        res.merged = true;
-        logf(opts.log, "campaign: %zu jobs -> %s, %s\n", plan.jobs().size(),
-             plan.csv_path().c_str(), plan.jsonl_path().c_str());
-        render_reports(plan, res, opts.log);
-    }
     return res;
 }
 
@@ -499,16 +467,20 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         return st;
     };
 
-    const auto run_one = [&](unsigned k, const std::string& path) {
+    // Run shard k to its canonical path under the requested encoding.
+    const auto run_one = [&](unsigned k) {
         telemetry::Span span("shard:" + std::to_string(k));
-        if (k < n) db_paths[k] = path;
+        const std::string path = opts.compress_shards
+                                     ? plan.shard_db_path(k) + ".zst"
+                                     : plan.shard_db_path(k);
+        db_paths[k] = path;
         if (opts.resume) {
             std::string found;
             const ShardDbState state = probe_shard_db(plan, k, n, &found);
             if (state == ShardDbState::Match) {
                 logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k,
                      n, found.c_str(), plan.spec_hash_hex().c_str());
-                if (k < n) db_paths[k] = found;
+                db_paths[k] = found;
                 ++res.shards_skipped;
                 return;
             }
@@ -539,12 +511,6 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         res.fault_space = st.fault_space;
     };
 
-    // Canonical write path for shard k under the requested encoding.
-    const auto shard_path = [&](unsigned k) {
-        return opts.compress_shards ? plan.shard_db_path(k) + ".zst"
-                                    : plan.shard_db_path(k);
-    };
-
     if (opts.only_shard >= 0) {
         const unsigned k = static_cast<unsigned>(opts.only_shard);
         util::check_usage(k < n, "shard index " + std::to_string(k) +
@@ -567,11 +533,11 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
             res.fault_space = st.fault_space;
             return res;
         }
-        run_one(k, opts.shard_out.empty() ? shard_path(k) : opts.shard_out);
+        run_one(k);
         return res;
     }
 
-    for (unsigned k = 0; k < n; ++k) run_one(k, shard_path(k));
+    for (unsigned k = 0; k < n; ++k) run_one(k);
 
     // Merge — a cheap pure function of the shard databases; always re-run
     // so the canonical CSV/JSONL and reports exist even when every shard
@@ -633,10 +599,11 @@ DriverResult run_experiment(ExperimentPlan& plan, const DriverOptions& opts) {
                               "shards");
             return run_adaptive(plan, opts);
         }
-        if (opts.direct || spec.out.empty()) {
+        if (spec.out.empty()) {
             util::check_usage(opts.only_shard < 0,
-                              "only_shard requires the sharded execution path");
-            return run_direct(plan, opts);
+                              "only_shard requires spec.out (the shard "
+                              "database prefix)");
+            return run_in_memory(plan, opts);
         }
         return run_sharded(plan, opts);
     };

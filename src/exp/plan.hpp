@@ -1,16 +1,15 @@
 // Planner (layer 2 of src/exp/): expand an ExperimentSpec into the
 // canonical ExperimentPlan — the exact, ordered job list every execution
-// path (direct, sharded, adaptive) agrees on.
+// path (in-memory, sharded, adaptive) agrees on.
 //
 // Multi-kind specs expand kind-major: the full scenario selection for
 // kinds[0], then for kinds[1], ... — so a single-kind spec's job list (and
 // ordering) is exactly what it was before fault.kind grew a list form.
 //
-// Canonical job order is the paper_scenarios() order PR 1's filter_scenarios
-// has always produced (so a spec-driven run is byte-identical to the legacy
-// flag-driven one), with one extension: explicit matrix.cells come first, in
-// the order the spec lists them, and the cross-product matches follow minus
-// any duplicates. Each job gets a stable human-readable id
+// Canonical job order is the paper_scenarios() order, with one extension:
+// explicit matrix.cells come first, in the order the spec lists them, and
+// the cross-product matches follow minus any duplicates. Each job gets a
+// stable human-readable id
 // ("ARMv7-EP-SER-1-Mini-gpr") and the whole plan carries the spec hash that
 // flows into shard manifests, resume checks, and report provenance.
 //

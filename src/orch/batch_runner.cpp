@@ -87,8 +87,6 @@ struct BatchRunner::JobState {
     std::vector<std::vector<std::uint32_t>> followers;
     std::atomic<std::size_t> remaining{0};
     core::CampaignResult result;
-    std::atomic<bool> done{false}; ///< counts merged, ready to flush
-    bool flushed = false;
 };
 
 std::string scenario_cache_key(const npb::Scenario& s) {
@@ -142,31 +140,7 @@ void BatchRunner::drop_golden_ref(GoldenEntry* golden) {
 
 void BatchRunner::complete_job(JobState& job) {
     job.result.recount();
-    job.done.store(true, std::memory_order_release);
     drop_golden_ref(job.golden);
-    flush_ready();
-}
-
-void BatchRunner::flush_ready() {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    while (next_flush_ < jobs_.size() &&
-           jobs_[next_flush_]->done.load(std::memory_order_acquire)) {
-        JobState& job = *jobs_[next_flush_];
-        if (!job.flushed) {
-            if (csv_sink_) {
-                const std::string csv = core::campaign_csv(job.result);
-                if (csv_header_written_) {
-                    *csv_sink_ << csv.substr(csv.find('\n') + 1);
-                } else {
-                    *csv_sink_ << csv;
-                    csv_header_written_ = true;
-                }
-            }
-            if (json_sink_) *json_sink_ << core::campaign_json(job.result) << '\n';
-            job.flushed = true;
-        }
-        ++next_flush_;
-    }
 }
 
 core::FaultRecord BatchRunner::simulate_fault(const JobState& job,
@@ -396,8 +370,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     // pruning-derived records and demand bit-identical outcome + retired
     // count. Sampling is deterministic (cfg.seed), so CI and a laptop check
     // the same faults. Mismatches are collected and thrown from run_all()
-    // after every job has flushed — the databases on disk stay complete for
-    // post-mortem diffing.
+    // once every job has completed, naming each diverging fault.
     if (opts_.prune && opts_.prune_verify > 0) {
         struct VerifyTask {
             JobState* job;
@@ -460,7 +433,7 @@ const std::vector<std::uint32_t>& BatchRunner::job_ordinals(std::size_t j) const
 }
 
 std::vector<core::CampaignResult> BatchRunner::run_all() {
-    const std::size_t first = next_flush_; // jobs before this already ran
+    const std::size_t first = jobs_run_;
     Scheduler& pool = scheduler();
 
     // Consecutive pending jobs are grouped into waves spanning at most
@@ -482,6 +455,7 @@ std::vector<core::CampaignResult> BatchRunner::run_all() {
         }
         run_wave(wave, pool);
     }
+    jobs_run_ = jobs_.size();
 
     if (!verify_failures_.empty()) {
         std::string msg = "prune verify: " +

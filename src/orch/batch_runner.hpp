@@ -8,7 +8,8 @@
 //     of skewed campaigns keeps all host threads busy,
 //   * injection runs start from the nearest checkpoint-ladder rung instead of
 //     fast-forwarding from reset (see orch/checkpoint.hpp),
-//   * finished campaigns stream to optional CSV / JSONL sinks in job order.
+//   * run_all() returns the campaigns in job order; the merged CSV / JSONL
+//     databases are core::write_campaign_streams over that vector.
 //
 // Invariant (inherited from the legacy runner and covered by orch_test):
 // CampaignResult::counts and campaign_csv output are bit-identical for a
@@ -17,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -74,7 +74,7 @@ struct BatchOptions {
     /// With prune: re-simulate up to this many pruning-derived records per
     /// job (seeded, deterministic sample) after the job completes and
     /// compare outcome + retired count. Any mismatch makes run_all() throw
-    /// util::Error once all jobs have flushed. 0 = no verification.
+    /// util::Error once all jobs have completed. 0 = no verification.
     unsigned prune_verify = 0;
 };
 
@@ -93,11 +93,6 @@ public:
     /// A non-null `filter` overrides BatchOptions::fault_filter for this job.
     std::size_t add(const npb::Scenario& s, const core::CampaignConfig& cfg,
                     JobFaultFilter filter = nullptr);
-
-    /// Merged per-fault CSV rows, one header for the whole batch.
-    void set_csv_sink(std::ostream* os) { csv_sink_ = os; }
-    /// One JSON object per campaign, newline-delimited (JSONL).
-    void set_json_sink(std::ostream* os) { json_sink_ = os; }
 
     /// Run all queued jobs; returns results in add() order. Jobs may be
     /// queued and run again on the same runner; the golden cache persists.
@@ -157,18 +152,14 @@ private:
                                      bool counted);
     void complete_job(JobState& job);
     void drop_golden_ref(GoldenEntry* golden);
-    void flush_ready();
 
     BatchOptions opts_;
     std::unique_ptr<Scheduler> own_pool_;
     std::vector<std::pair<std::string, std::unique_ptr<GoldenEntry>>> golden_cache_;
     std::vector<std::unique_ptr<JobState>> jobs_;
     std::size_t golden_runs_ = 0;
-    std::ostream* csv_sink_ = nullptr;
-    std::ostream* json_sink_ = nullptr;
-    std::mutex flush_mu_;
-    std::size_t next_flush_ = 0;
-    bool csv_header_written_ = false;
+    /// Jobs [0, jobs_run_) already ran; run_all() starts after them.
+    std::size_t jobs_run_ = 0;
     std::atomic<std::uint64_t> ff_retired_{0};
     std::size_t simulated_runs_ = 0;
     std::size_t inferred_records_ = 0;

@@ -556,21 +556,9 @@ std::vector<core::CampaignResult> merge_shards(
                                           " not covered by any shard");
     }
 
-    // Phase 4: counts + the exact streams BatchRunner emits unsharded.
-    bool header_written = false;
-    for (core::CampaignResult& r : results) {
-        r.recount();
-        if (csv_sink) {
-            const std::string csv = core::campaign_csv(r);
-            if (header_written) {
-                *csv_sink << csv.substr(csv.find('\n') + 1);
-            } else {
-                *csv_sink << csv;
-                header_written = true;
-            }
-        }
-        if (jsonl_sink) *jsonl_sink << core::campaign_json(r) << '\n';
-    }
+    // Phase 4: counts + the same streams an unsharded run writes.
+    for (core::CampaignResult& r : results) r.recount();
+    core::write_campaign_streams(results, csv_sink, jsonl_sink);
     return results;
 }
 

@@ -16,9 +16,9 @@
 //    per injected fault carrying its full-fault-list ordinal.
 //  * merge_shards() validates the manifests (same config hash, complete and
 //    disjoint shard cover, identical golden references), reassembles each
-//    job's record array by ordinal, and emits the same merged CSV / JSONL
-//    BatchRunner streams for an unsharded run — byte-identical, which
-//    orch_test and CI assert.
+//    job's record array by ordinal, and writes the merged CSV / JSONL with
+//    core::write_campaign_streams — byte-identical to the same writer over
+//    an unsharded run_all(), which orch_test and CI assert.
 //
 // Shards can run in separate processes or on separate hosts; the database
 // files are plain text and order-independent under merge.
@@ -97,8 +97,9 @@ struct ShardJobSpec {
 /// probe the adaptive checkpoint stride runs) x the job's fault count.
 std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs);
 
-/// Scenario subset selection shared by full_campaign and the serep tool.
-/// Empty strings match everything; names follow the CLI convention:
+/// Single-name scenario subset selection in paper_scenarios() order; the
+/// spec planner's job order is tested against it. Empty strings match
+/// everything; names follow the spec convention:
 /// isa "v7"/"v8", npb::api_name ("SER"/"OMP"/"MPI"), npb::app_name ("EP", ...).
 struct CampaignFilter {
     std::string isa, api, app;
@@ -152,8 +153,8 @@ ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
 
 /// Merge shard databases (file *contents*, any order). Validates manifests
 /// and record cover, returns the per-job results in job order, and — when
-/// sinks are given — streams the merged per-fault CSV and per-campaign
-/// JSONL exactly as BatchRunner does for an unsharded run. Throws
+/// sinks are given — writes the merged per-fault CSV and per-campaign
+/// JSONL with core::write_campaign_streams. Throws
 /// util::Error on any inconsistency (config-hash mismatch, missing or
 /// duplicate shard, golden-reference divergence, uncovered or
 /// double-covered fault ordinals).

@@ -180,7 +180,7 @@ std::vector<AdaptiveJobResult> run_adaptive_campaign(
     // Retained ladders cost one scenario's snapshots each for the chunk's
     // whole multi-round lifetime; slice the campaign so at most as many are
     // resident as a fixed batch's wave would build. A 130-scenario
-    // `--target-ci` campaign therefore peaks at wave memory, not campaign
+    // target_ci campaign therefore peaks at wave memory, not campaign
     // memory.
     std::vector<AdaptiveJobResult> out;
     out.reserve(jobs.size());

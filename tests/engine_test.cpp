@@ -349,13 +349,11 @@ TEST(Engine, CampaignDatabasesAreByteIdenticalAcrossEnginesAndKinds) {
         opts.threads = 4;
         opts.engine = kAllEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(v7, gpr);
         runner.add(v8, fp);
         runner.add(v7, mem);
         runner.add(v8, mem);
-        runner.run_all();
+        core::write_campaign_streams(runner.run_all(), &csv, &jsonl);
         out[i] = csv.str() + "\x1e" + jsonl.str();
     }
     EXPECT_EQ(out[0], out[1]);

@@ -14,8 +14,8 @@
 //    as the legacy flag-driven filter (byte-identity of the spec pipeline
 //    rests on this), preserves explicit-cell order, and its dry-run
 //    listing matches a checked-in golden.
-//  * The driver's sharded path writes CSV/JSONL byte-identical to the
-//    direct single-pass path, annotates shard manifests with the spec
+//  * The driver's sharded path writes CSV/JSONL byte-identical for any
+//    shard count (2 shards vs 1), annotates shard manifests with the spec
 //    hash, skips finished shards on re-run (resume), and REFUSES a shard
 //    database whose spec hash does not match instead of blending it.
 #include <gtest/gtest.h>
@@ -182,6 +182,7 @@ TEST(ExperimentSpec, RejectsMalformedSpecsNamingTheOffender) {
     expect_reject(R"({"fault": {"kind": "fp"}, "matrix": {"isa": "v7"}})",
                   "v8 profile");
     expect_reject(R"({"fault": {"faults": 0}})", "faults");
+    expect_reject(R"({"fault": {"faults": -3}})", "faults");
     expect_reject(R"({"fault": {"target_ci": 0.7}})", "target_ci");
     expect_reject(R"({"fault": {"target_ci": 0.05}, "shard": {"count": 2}})",
                   "shard.count");
@@ -305,33 +306,21 @@ TEST(ExperimentPlan, EveryCheckedInSpecLoadsAndPlans) {
     }
 }
 
-TEST(ExperimentPlan, LegacyFaultsFlagRejectsWrappingValues) {
-    for (const char* bad : {"--faults=-3", "--faults=0", "--faults=4294967356"}) {
-        const char* argv[] = {"serep", bad};
-        util::Cli cli(2, argv);
-        EXPECT_THROW(exp::spec_from_legacy_cli(cli), util::UsageError) << bad;
-    }
-}
-
-TEST(ExperimentPlan, LegacyFlagSynthesis) {
-    const char* argv[] = {"serep",        "--class=Mini", "--app=EP",
-                          "--kind=fp",    "--faults=40",  "--seed=7",
-                          "--threads=3",  "--engine=switch"};
-    util::Cli cli(8, argv);
-    exp::ExperimentPlan plan(exp::spec_from_legacy_cli(cli));
+TEST(ExperimentPlan, FpKindSelectsOnlyV8WithFpTargets) {
+    // An fp spec with no isa constraint plans only v8 cells (v7 has no FP
+    // register file), and every job targets the FP registers.
+    exp::ExperimentPlan plan(exp::ExperimentSpec::load(
+        R"({"matrix": {"class": "Mini", "app": ["EP"]}, "fault": {"kind": "fp"}})"));
     EXPECT_FALSE(plan.jobs().empty());
     for (const exp::PlannedJob& j : plan.jobs()) {
-        EXPECT_EQ(j.scenario.isa, isa::Profile::V8); // fp implies v8
+        EXPECT_EQ(j.scenario.isa, isa::Profile::V8);
         EXPECT_TRUE(j.cfg.include_fp_regs);
-        EXPECT_EQ(j.cfg.n_faults, 40u);
-        EXPECT_EQ(j.cfg.seed, 7u);
     }
-    EXPECT_EQ(plan.spec().engine, "switch");
 }
 
 // ----------------------------------------------------------------- driver
 
-TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
+TEST(Driver, ShardedRunMatchesOneShardByteForByteAndResumes) {
     exp::ExperimentSpec spec;
     spec.name = "driver-identity";
     spec.klass = "Mini";
@@ -345,15 +334,13 @@ TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
     exp::DriverOptions quiet;
     quiet.log = nullptr;
 
-    // Reference: the direct single-pass path (the legacy campaign shim).
-    exp::ExperimentSpec direct_spec = spec;
-    direct_spec.out = tmp_prefix("direct");
-    exp::ExperimentPlan direct_plan(direct_spec);
-    exp::DriverOptions direct_opts = quiet;
-    direct_opts.direct = true;
-    direct_opts.resume = false;
-    const exp::DriverResult direct = exp::run_experiment(direct_plan, direct_opts);
-    ASSERT_EQ(direct.results.size(), 2u); // v7 + v8 EP-SER
+    // Reference: the same spec as one shard (a single-process run).
+    exp::ExperimentSpec one_spec = spec;
+    one_spec.shards = 1;
+    one_spec.out = tmp_prefix("oneshard");
+    exp::ExperimentPlan one_plan(one_spec);
+    const exp::DriverResult one = exp::run_experiment(one_plan, quiet);
+    ASSERT_EQ(one.results.size(), 2u); // v7 + v8 EP-SER
 
     // Sharded pipeline: run shards, merge — byte-identical outputs.
     exp::ExperimentSpec sharded_spec = spec;
@@ -362,8 +349,8 @@ TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
     const exp::DriverResult sharded = exp::run_experiment(sharded_plan, quiet);
     EXPECT_EQ(sharded.shards_run, 2u);
     EXPECT_TRUE(sharded.merged);
-    EXPECT_EQ(slurp(sharded_plan.csv_path()), slurp(direct_plan.csv_path()));
-    EXPECT_EQ(slurp(sharded_plan.jsonl_path()), slurp(direct_plan.jsonl_path()));
+    EXPECT_EQ(slurp(sharded_plan.csv_path()), slurp(one_plan.csv_path()));
+    EXPECT_EQ(slurp(sharded_plan.jsonl_path()), slurp(one_plan.jsonl_path()));
 
     // The shard manifest carries the spec hash (the resume key).
     const std::string db = slurp(sharded_plan.shard_db_path(0));
@@ -378,7 +365,7 @@ TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
     const exp::DriverResult resumed = exp::run_experiment(again, quiet);
     EXPECT_EQ(resumed.shards_run, 0u);
     EXPECT_EQ(resumed.shards_skipped, 2u);
-    EXPECT_EQ(slurp(again.csv_path()), slurp(direct_plan.csv_path()));
+    EXPECT_EQ(slurp(again.csv_path()), slurp(one_plan.csv_path()));
 
     // Refusal: the same out prefix under a *different* spec must not blend.
     exp::ExperimentSpec tampered = sharded_spec;
@@ -397,10 +384,10 @@ TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
     const exp::DriverResult rerun = exp::run_experiment(healed, quiet);
     EXPECT_EQ(rerun.shards_run, 1u); // only the truncated shard re-ran
     EXPECT_EQ(rerun.shards_skipped, 1u);
-    EXPECT_EQ(slurp(healed.csv_path()), slurp(direct_plan.csv_path()));
+    EXPECT_EQ(slurp(healed.csv_path()), slurp(one_plan.csv_path()));
 }
 
-TEST(Driver, AdaptiveShimLeavesNoSidecarButResumeDoes) {
+TEST(Driver, AdaptiveRunLeavesSidecarAndResumes) {
     exp::ExperimentSpec spec;
     spec.name = "adaptive-sidecar";
     spec.out = tmp_prefix("adsidecar");
@@ -411,21 +398,13 @@ TEST(Driver, AdaptiveShimLeavesNoSidecarButResumeDoes) {
     spec.seed = 0x5EED;
     spec.threads = 2;
     spec.target_ci = 0.2; // loose target: converges in a round or two
-    exp::ExperimentPlan plan(spec);
-    exp::DriverOptions shim;
-    shim.log = nullptr;
-    shim.resume = false; // legacy `serep campaign --target-ci` semantics
-    exp::run_experiment(plan, shim);
-    EXPECT_FALSE(std::ifstream(plan.state_path()).good())
-        << "the legacy shim must not leave a " << plan.state_path();
-
     exp::DriverOptions resumable;
     resumable.log = nullptr;
-    exp::ExperimentPlan plan2(spec);
-    exp::run_experiment(plan2, resumable);
-    EXPECT_TRUE(std::ifstream(plan2.state_path()).good());
-    exp::ExperimentPlan plan3(spec);
-    const exp::DriverResult skipped = exp::run_experiment(plan3, resumable);
+    exp::ExperimentPlan plan(spec);
+    exp::run_experiment(plan, resumable);
+    EXPECT_TRUE(std::ifstream(plan.state_path()).good());
+    exp::ExperimentPlan again(spec);
+    const exp::DriverResult skipped = exp::run_experiment(again, resumable);
     EXPECT_EQ(skipped.shards_run, 0u);
     EXPECT_EQ(skipped.shards_skipped, 1u);
 }

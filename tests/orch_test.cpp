@@ -311,14 +311,13 @@ TEST(BatchRunner, GoldenCacheDistinguishesProblemClass) {
 }
 
 TEST(BatchRunner, StreamsMergedCsvAndJsonlInJobOrder) {
-    std::ostringstream csv, jsonl;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&csv);
-    runner.set_json_sink(&jsonl);
     runner.add(kSmall, small_config(15, 0xDAC2018));
     runner.add(kSmallV8, small_config(25, 0xDAC2018));
     const auto results = runner.run_all();
     ASSERT_EQ(results.size(), 2u);
+    std::ostringstream csv, jsonl;
+    core::write_campaign_streams(results, &csv, &jsonl);
 
     // One header, then 15 + 25 data rows, jobs in add() order.
     std::istringstream lines(csv.str());
@@ -349,15 +348,14 @@ std::vector<orch::ShardJobSpec> shard_jobs() {
             {kSmallV8, small_config(25, 0x1234)}};
 }
 
-/// The unsharded reference streams (what BatchRunner emits in one process).
+/// The unsharded reference streams: the merged-database writer over one
+/// process's run_all().
 void reference_streams(std::string& csv, std::string& jsonl) {
     std::ostringstream c, j;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&c);
-    runner.set_json_sink(&j);
     for (const orch::ShardJobSpec& spec : shard_jobs())
         runner.add(spec.scenario, spec.cfg);
-    runner.run_all();
+    core::write_campaign_streams(runner.run_all(), &c, &j);
     csv = c.str();
     jsonl = j.str();
 }

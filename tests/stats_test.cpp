@@ -8,7 +8,7 @@
 //  * Reports are *deterministic*: a report rendered from unmerged shard
 //    databases is byte-identical to one rendered from the merged CSV or the
 //    merged JSONL, and config-hash validation refuses foreign shards.
-//  * Confidence-driven sizing is *reproducible*: `--target-ci` injects a
+//  * Confidence-driven sizing is *reproducible*: `target_ci` injects a
 //    stable content-id prefix of the fixed-count campaign — measurably
 //    fewer faults, every tracked rate inside the target half-width, and
 //    every injected record bit-identical to the fixed campaign's record at
@@ -240,15 +240,14 @@ std::vector<orch::ShardJobSpec> tally_jobs() {
             {kSmallV8, small_config(25, 0x1234)}};
 }
 
-/// The unsharded reference streams (what BatchRunner emits in one process).
+/// The unsharded reference streams: the merged-database writer over one
+/// process's run_all().
 void reference_streams(std::string& csv, std::string& jsonl) {
     std::ostringstream c, j;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&c);
-    runner.set_json_sink(&j);
     for (const orch::ShardJobSpec& spec : tally_jobs())
         runner.add(spec.scenario, spec.cfg);
-    runner.run_all();
+    core::write_campaign_streams(runner.run_all(), &c, &j);
     csv = c.str();
     jsonl = j.str();
 }

@@ -85,8 +85,10 @@ void emit_evictions(Assembler& a, std::uint64_t buf_va, unsigned first,
 }
 
 /// One micro program plus the addresses the checks below need. Each test
-/// fills it from inside its assembler body (captured by reference — the
-/// body runs once per engine, re-setting the same values).
+/// fills it from inside its assembler body (the body runs once per engine,
+/// re-setting the same values). The body captures a raw Snippet*: the
+/// test's shared_ptr owns the Snippet and outlives every run, while a
+/// captured shared_ptr would own itself through `body` and leak.
 struct Snippet {
     std::function<void(Assembler&)> body;
     std::uint64_t buf_va = 0;    ///< kdata buffer VA (phys = VA - kKernBase)
@@ -163,7 +165,7 @@ TEST(UncoreModel, CacheDataCleanEvictionDropsTheCorruption) {
     // line with 5 clean same-set loads; the read-back must see the restored
     // 5 — the strike was masked by the clean eviction.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -200,7 +202,7 @@ TEST(UncoreModel, CacheDataDirtyWritebackCommitsTheCorruption) {
     // before the eviction: the line is dirty, the writeback commits 7, and
     // no restore may happen — the output diverges from golden permanently.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -238,7 +240,7 @@ TEST(UncoreModel, CacheTagAliasHitsServeTheVictimsData) {
     // aliased way and reads the VICTIM's value; a clean eviction restores
     // the alias line's pristine bytes (zero).
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -287,7 +289,7 @@ TEST(UncoreModel, CacheTagDirtyEvictionLeavesTheCorruptionCommitted) {
     // must NOT restore the alias line — the wrong-address writeback is
     // permanent.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -327,7 +329,7 @@ TEST(UncoreModel, BusCorruptsExactlyOneLoadTransfer) {
     // value (9 -> 8 with bit 0), the NEXT load reads the intact 9 — memory
     // itself was never wrong.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -368,7 +370,7 @@ TEST(UncoreModel, BusStoreCorruptionLandsPermanently) {
     // and stays flipped (the in-flight corruption was written back). The
     // pending flip settles at the run boundary even with no further access.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -405,7 +407,7 @@ TEST(UncoreModel, StrikeOnAnEmptyCellIsMaskedOutright) {
     // injection lands on an invalid way, mutates nothing, and the run is
     // indistinguishable from golden.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -465,12 +467,10 @@ TEST(UncoreCampaign, DatabasesAreByteIdenticalAcrossEngines) {
         opts.threads = 4;
         opts.engine = kAllEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheTag, 20, 0xA));
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheData, 20, 0xB));
         runner.add(kV8IS, uncore_cfg(core::FaultTarget::Kind::Bus, 15, 0xC));
-        runner.run_all();
+        core::write_campaign_streams(runner.run_all(), &csv, &jsonl);
         out[i] = csv.str() + "\x1e" + jsonl.str();
     }
     EXPECT_EQ(out[0], out[1]);
@@ -484,10 +484,8 @@ TEST(UncoreCampaign, ShardsMergeByteIdenticalWithZstdMixedIn) {
     std::ostringstream ref_csv, ref_jsonl;
     {
         orch::BatchRunner runner{orch::BatchOptions{}};
-        runner.set_csv_sink(&ref_csv);
-        runner.set_json_sink(&ref_jsonl);
         for (const auto& j : uncore_jobs()) runner.add(j.scenario, j.cfg);
-        runner.run_all();
+        core::write_campaign_streams(runner.run_all(), &ref_csv, &ref_jsonl);
     }
     // 3-way sharded, shard 1 zstd-framed.
     std::vector<std::string> dbs;
@@ -511,14 +509,13 @@ TEST(UncoreCampaign, PruningDeclinesUncoreJobsButStillSimulatesThem) {
         orch::BatchOptions opts;
         opts.prune = prune;
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheData, 25,
                                      0xD0D0));
         core::CampaignConfig gpr;
         gpr.n_faults = 25;
         gpr.seed = 0xD0D0;
         runner.add(kV7EP, gpr);
-        runner.run_all();
+        core::write_campaign_streams(runner.run_all(), &csv, nullptr);
         if (declined) *declined = runner.prune_declined();
         if (inferred) *inferred = runner.inferred_records();
         return csv.str();

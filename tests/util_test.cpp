@@ -150,7 +150,7 @@ TEST(Cli, ParsesForms) {
 
 // The unknown-flag audit: a mistyped flag must fail with a UsageError that
 // names the offender (serep maps that to exit 2), never be silently
-// ignored — `serep campaign --fault=500` used to happily run 100 faults.
+// ignored — a `--fault=500` typo must not run the default fault count.
 TEST(Cli, RequireKnownAcceptsTheDeclaredSet) {
     const char* argv[] = {"prog", "--faults=500", "--fast", "--help"};
     su::Cli cli(4, argv);

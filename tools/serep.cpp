@@ -1,7 +1,7 @@
 // serep — the campaign command-line front end.
 //
-// The primary interface is declarative: ONE JSON experiment spec names the
-// whole pipeline (scenario matrix, fault model, engine knobs, shard
+// The interface is declarative: ONE JSON experiment spec names the whole
+// pipeline (scenario matrix, fault model, engine knobs, shard
 // partitioning, report outputs — see src/exp/spec.hpp and the README's
 // "Experiment specs" section):
 //
@@ -18,34 +18,19 @@
 // reports. `plan` probes golden lengths once for weighted partitions and
 // prints the weight vector so it can be baked into the spec.
 //
-// The legacy imperative subcommands remain as thin shims that synthesize a
-// spec from their flags (exp::spec_from_legacy_cli) and run the same
-// driver — their output bytes are unchanged:
+// `fleet` runs the same spec's shards on worker processes or ssh hosts;
+// its merged output is byte-identical to `run`. Two database tools work on
+// the files those runs write:
 //
-//   serep campaign [filters] --out=ref          one-process run, merged DB
-//   serep campaign --target-ci=0.05 [filters]   confidence-driven sizing
-//   serep shard --shard=1 --shards=3 [filters] --out=shard1.jsonl
-//   serep shard --weighted ...                  work-weighted fault split
 //   serep merge --out=merged shard0.jsonl shard1.jsonl shard2.jsonl
 //   serep report [--format=md|csv|json] db1 [db2 ...]
-//
-// Filters / config (campaign and shard modes, defaults in brackets):
-//   --class=S|Mini [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|CG|...
-//   --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]
-//     (fault target space; fp implies --isa=v8; cache-*/bus strike the
-//      uncore — see src/uncore/)
-//   --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]
-//   --engine=cached|switch [cached]  --stride=R [auto]  --no-adaptive
-//   --no-checkpoints  --no-delta (full-copy rungs)
-// campaign sizing: --target-ci=W (0<W<0.5) --confidence=C [0.95]
-//   --ci-batch=N [50] --ci-min=N [20]
 //
 // Every subcommand audits its flags: an unknown --flag is a usage error
 // (exit 2) naming the offender, never a silent no-op.
 //
 // Prefer --key=value forms for value-carrying flags: a bare `--key value`
 // greedily eats the next token, which matters once positional spec/shard-file
-// operands follow. Value-less flags (--partial, --weighted, --no-*) are
+// operands follow. Value-less flags (--partial, --compress, --no-*) are
 // declared to the parser and never consume the following operand.
 //
 // Exit codes (also in --help): 0 success; 2 usage error (bad flags or spec,
@@ -77,15 +62,6 @@ constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitValidation = 3;
 constexpr int kExitRuntime = 4;
-
-/// exp::legacy_cli_flags() plus the subcommand's own extras — the audit
-/// list always tracks the shared legacy parser.
-std::vector<std::string> legacy_flags_plus(
-    std::initializer_list<const char*> extra) {
-    std::vector<std::string> flags = exp::legacy_cli_flags();
-    flags.insert(flags.end(), extra.begin(), extra.end());
-    return flags;
-}
 
 /// Load a spec file named as the single positional operand after the
 /// subcommand. The operand `-` reads the spec from stdin — that is how
@@ -325,88 +301,6 @@ int cmd_plan(const util::Cli& cli) {
     return kExitOk;
 }
 
-int cmd_campaign(const util::Cli& cli) {
-    cli.require_known(legacy_flags_plus({"target-ci", "confidence", "ci-batch",
-                                         "ci-min", "metrics-out",
-                                         "trace-out"}));
-    exp::ExperimentPlan plan(exp::spec_from_legacy_cli(cli));
-    // Legacy semantics: always a fresh single-process run, outputs
-    // overwritten, no resume — and byte-identical CSV/JSONL to every serep
-    // release since PR 2 (the spec pipeline's direct path is the same
-    // BatchRunner streaming).
-    exp::DriverOptions opts;
-    opts.resume = false;
-    opts.direct = true;
-    opts.metrics_out = cli.get("metrics-out", "");
-    opts.trace_out = cli.get("trace-out", "");
-    exp::run_experiment(plan, opts);
-    return kExitOk;
-}
-
-int cmd_shard(const util::Cli& cli) {
-    cli.require_known(
-        legacy_flags_plus({"shard", "shards", "weighted", "weights"}));
-    const std::int64_t index = cli.get_int("shard", 0);
-    const std::int64_t count = cli.get_int("shards", 1);
-    util::check_usage(count >= 1 && index >= 0 && index < count,
-                      "run_shard: shard index out of range");
-
-    exp::ExperimentSpec spec = exp::spec_from_legacy_cli(cli);
-    spec.shards = static_cast<unsigned>(count);
-    if (cli.has("weighted")) {
-        spec.partition = "weighted";
-        // --weights=w0,w1,...: reuse a previously printed probe vector so
-        // probing happens once per campaign, not once per shard process.
-        const std::string wspec = cli.get("weights", "");
-        std::size_t pos = 0;
-        while (!wspec.empty() && pos <= wspec.size()) {
-            const std::size_t comma = wspec.find(',', pos);
-            const std::string tok =
-                wspec.substr(pos, comma == std::string::npos
-                                      ? std::string::npos
-                                      : comma - pos);
-            try {
-                std::size_t used = 0;
-                spec.weights.push_back(std::stod(tok, &used));
-                util::check_usage(used == tok.size() && !tok.empty(),
-                                  "--weights: bad number '" + tok + "'");
-            } catch (const util::UsageError&) {
-                throw;
-            } catch (const std::exception&) {
-                throw util::UsageError("--weights: bad number '" + tok + "'");
-            }
-            if (comma == std::string::npos) break;
-            pos = comma + 1;
-        }
-    } else {
-        util::check_usage(!cli.has("weights"),
-                          "--weights only applies with --weighted");
-    }
-
-    exp::ExperimentPlan plan(std::move(spec));
-    if (cli.has("weighted") && !cli.has("weights")) {
-        // Probe and print BEFORE running, so the operator can launch the
-        // other N-1 shards with --weights=... while this one executes;
-        // the driver below reuses the cached vector (one probe total).
-        std::string joined;
-        for (double w : plan.weights()) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.0f", w);
-            joined += (joined.empty() ? "" : ",") + std::string(buf);
-        }
-        std::printf("probed weights (pass --weights=%s to the other shards "
-                    "to skip probing)\n",
-                    joined.c_str());
-    }
-    exp::DriverOptions opts;
-    opts.resume = false; // legacy semantics: always run, overwrite
-    opts.only_shard = static_cast<int>(index);
-    opts.shard_out =
-        cli.get("out", "shard" + std::to_string(index) + ".jsonl");
-    exp::run_experiment(plan, opts);
-    return kExitOk;
-}
-
 int cmd_report(const util::Cli& cli) {
     cli.require_known(
         {"format", "confidence", "top-regs", "out", "partial", "no-inferred"});
@@ -549,7 +443,7 @@ constexpr const char* kExitContract =
 
 /// `serep <subcommand> --help`: focused flag reference, one line per flag,
 /// ending in the exit-code contract. Golden-tested (tests/golden/help_*.txt)
-/// so help drift fails CI. Returns -1 for a mode with no dedicated page.
+/// so help drift fails CI. Returns -1 for an unknown subcommand.
 int help_for(const std::string& mode) {
     static const struct {
         const char* mode;
@@ -615,39 +509,6 @@ int help_for(const std::string& mode) {
          "                     counters + aggregated worker snapshots)\n"
          "  --trace-out=FILE   write Chrome trace-event JSON of the\n"
          "                     controller's phase spans (Perfetto)\n"},
-        {"campaign",
-         "usage: serep campaign [filters] [--out=PREFIX]\n"
-         "\n"
-         "Legacy shim: run the (filtered) campaign in one process, outputs\n"
-         "overwritten, no resume — synthesizes a spec and drives the same\n"
-         "pipeline as `serep run`, byte-identical outputs.\n"
-         "\n"
-         "filters / config (defaults in brackets):\n"
-         "  --class=S|Mini|W [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|...\n"
-         "  --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]\n"
-         "                     fault targets (fp implies --isa=v8; cache-*/\n"
-         "                     bus strike the uncore and cannot be pruned)\n"
-         "  --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]\n"
-         "  --engine=cached|switch [cached]  --stride=R [auto]\n"
-         "  --no-adaptive  --no-checkpoints  --no-delta\n"
-         "sizing:\n"
-         "  --target-ci=W      stop each scenario once every outcome rate's\n"
-         "                     CI half-width <= W (0 < W < 0.5)\n"
-         "  --confidence=C [0.95]  --ci-batch=N [50]  --ci-min=N [20]\n"
-         "telemetry:\n"
-         "  --metrics-out=FILE  --trace-out=FILE   as in `serep run --help`\n"},
-        {"shard",
-         "usage: serep shard --shard=I --shards=N [filters] --out=FILE\n"
-         "\n"
-         "Legacy shim: run one 1-of-N slice to a shard database. Accepts the\n"
-         "same filters/config as `serep campaign` (see `serep campaign\n"
-         "--help`), plus:\n"
-         "\n"
-         "flags:\n"
-         "  --shard=I --shards=N   which slice [0/1]\n"
-         "  --weighted         equal-work split by golden-run length\n"
-         "  --weights=w0,w1,...    reuse a printed probe vector (skip probing)\n"
-         "  --out=FILE         shard database path [shardI.jsonl]\n"},
         {"merge",
          "usage: serep merge --out=PREFIX DB1 DB2 [...]\n"
          "\n"
@@ -696,8 +557,7 @@ int help_for(const std::string& mode) {
 int usage(std::FILE* to) {
     std::fprintf(
         to,
-        "usage: serep run|plan|fleet|campaign|shard|merge|report|version "
-        "[--key=value ...]\n"
+        "usage: serep run|plan|fleet|merge|report|version [--key=value ...]\n"
         "  run SPEC.json       execute the whole experiment the spec declares\n"
         "                      (golden -> shard/run -> merge -> report), with\n"
         "                      resume: finished shard DBs matching the spec\n"
@@ -718,42 +578,16 @@ int usage(std::FILE* to) {
         "                      stream shard DBs back zstd-framed, retry dead\n"
         "                      workers, merge + report byte-identically to\n"
         "                      `serep run` — see `serep fleet --help`\n"
-        "  campaign  run the (filtered) campaign in-process (legacy shim)\n"
-        "  shard     run one 1-of-N slice to a shard database (legacy shim)\n"
         "  merge     merge shard databases into the unsharded CSV/JSONL\n"
         "  report    outcome-rate tables + confidence intervals from DBs\n"
         "  version   build provenance (compiler, build type, libzstd)\n"
         "\n"
-        "telemetry (run / campaign / fleet): --metrics-out=FILE writes a\n"
-        "  metrics.json sidecar (counters, phase timings, provenance) and\n"
-        "  --trace-out=FILE a Perfetto-loadable Chrome trace of the phase\n"
-        "  spans — both strictly out of band: outcome databases and reports\n"
-        "  are byte-identical with or without them (see docs/telemetry.md)\n"
+        "telemetry (run / fleet): --metrics-out=FILE writes a metrics.json\n"
+        "  sidecar (counters, phase timings, provenance) and --trace-out=FILE\n"
+        "  a Perfetto-loadable Chrome trace of the phase spans — both\n"
+        "  strictly out of band: outcome databases and reports are\n"
+        "  byte-identical with or without them (see docs/telemetry.md)\n"
         "\n"
-        "campaign / shard options (defaults in brackets):\n"
-        "  --class=S|Mini|W [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|...\n"
-        "  --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]\n"
-        "                           fault targets: integer registers, FP\n"
-        "                           registers (v8 only), data memory\n"
-        "                           including the guest text mirror, or the\n"
-        "                           uncore spaces — cache tag arrays, cache\n"
-        "                           data arrays, core<->memory bus transfers\n"
-        "                           (uncore kinds cannot be pruned)\n"
-        "  --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]\n"
-        "  --engine=cached|switch [cached]  execution engine (bit-identical\n"
-        "                           outcomes; cached runs predecoded\n"
-        "                           superblocks at ~1.6-2.3x the speed of\n"
-        "                           switch, the reference interpreter)\n"
-        "  --stride=R [auto]  --no-adaptive  --no-checkpoints  --no-delta\n"
-        "campaign sizing: --target-ci=W  stop each scenario once every\n"
-        "                           outcome rate's CI half-width <= W; the\n"
-        "                           injected set is a stable content-id\n"
-        "                           prefix of the fixed --faults campaign\n"
-        "  --confidence=C [0.95]  --ci-batch=N [50]  --ci-min=N [20]\n"
-        "shard options: --shard=I --shards=N [0/1]\n"
-        "  --weighted  equal-work split by golden-run length: each shard\n"
-        "              runs goldens/ladders only for the scenarios it owns\n"
-        "  --weights=w0,w1,...  reuse a printed probe vector (skip probing)\n"
         "merge options: --out=PREFIX, then the shard database files\n"
         "report options: --format=md|csv|json [md]  --confidence=C [0.95]\n"
         "  --top-regs=N [8]  --out=FILE [stdout]  --partial (allow an\n"
@@ -787,14 +621,14 @@ int main(int argc, char** argv) {
     // Declaring the value-less flags up front keeps a bare `--partial` (etc.)
     // from greedily eating the next positional operand — see util::Cli.
     util::Cli cli(argc, argv,
-                  {"help", "partial", "weighted", "no-adaptive",
-                   "no-checkpoints", "no-delta", "no-inferred",
-                   "shard-stdout", "compress", "no-compress", "version"});
+                  {"help", "partial", "no-inferred", "shard-stdout",
+                   "compress", "no-compress", "version"});
     const std::string mode =
         cli.positional().empty() ? "" : cli.positional().front();
     if (cli.has("help")) {
         const int paged = help_for(mode);
-        return paged >= 0 ? paged : usage(stdout);
+        if (paged >= 0) return paged;
+        if (mode.empty()) return usage(stdout);
     }
     try {
         if (mode == "version" || (mode.empty() && cli.has("version")))
@@ -802,8 +636,6 @@ int main(int argc, char** argv) {
         if (mode == "run") return cmd_run(cli);
         if (mode == "plan") return cmd_plan(cli);
         if (mode == "fleet") return cmd_fleet(cli);
-        if (mode == "campaign") return cmd_campaign(cli);
-        if (mode == "shard") return cmd_shard(cli);
         if (mode == "merge") return cmd_merge(cli);
         if (mode == "report") return cmd_report(cli);
     } catch (const util::UsageError& e) {
@@ -819,5 +651,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "serep %s: %s\n", mode.c_str(), e.what());
         return kExitRuntime;
     }
+    if (!mode.empty())
+        std::fprintf(stderr, "serep: unknown subcommand '%s'\n", mode.c_str());
     return usage(stderr);
 }
