@@ -1,7 +1,13 @@
 #include "core/fault.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 #include "isa/layout.hpp"
+#include "telemetry/telemetry.hpp"
 #include "uncore/uncore.hpp"
+#include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace serep::core {
@@ -75,15 +81,50 @@ std::uint64_t arch_state_hash(const sim::Machine& m) {
     return h;
 }
 
-std::uint64_t static_data_hash(const sim::Machine& m, unsigned proc) {
-    const std::uint64_t base =
-        m.mem().kern_size() + std::uint64_t{proc} * m.mem().user_size();
-    return m.mem().hash_range(base, m.image().udata_size);
+namespace {
+
+constexpr std::uint64_t kPage = isa::layout::kPageSize;
+
+/// Physical byte range of process `proc`'s static data region.
+std::pair<std::uint64_t, std::uint64_t> static_data_range(const sim::Machine& m,
+                                                          unsigned proc) {
+    return {m.mem().kern_size() + std::uint64_t{proc} * m.mem().user_size(),
+            m.image().udata_size};
 }
 
-std::uint64_t kernel_region_hash(const sim::Machine& m) {
-    return m.mem().hash_range(0, m.mem().kern_size());
+/// Record the non-zero pages overlapping [lo, lo + len) in `img`.
+void capture_range(const sim::Memory& mem, std::uint64_t lo, std::uint64_t len,
+                   GoldenImage& img) {
+    for (std::uint64_t p = lo / kPage; p * kPage < lo + len; ++p) {
+        const std::uint8_t* page = mem.page_data(p);
+        if (img.page_at[p] != 0 ||
+            std::all_of(page, page + kPage, [](std::uint8_t b) { return b == 0; }))
+            continue;
+        img.bytes.insert(img.bytes.end(), page, page + kPage);
+        img.page_at[p] = static_cast<std::uint32_t>(img.bytes.size() / kPage);
+    }
 }
+
+/// Does [lo, lo + len) of `mem` equal the golden image? Compares only the
+/// pages dirty in either run unless `all_pages`; adds the bytes compared.
+bool range_matches(const sim::Memory& mem, const GoldenImage& g, bool all_pages,
+                   std::uint64_t lo, std::uint64_t len, std::uint64_t& compared) {
+    static const std::uint8_t kZeroPage[kPage] = {};
+    const std::vector<std::uint8_t>& dirty = mem.dirty_pages();
+    const std::uint64_t hi = lo + len;
+    for (std::uint64_t p = lo / kPage; p * kPage < hi; ++p) {
+        if (!all_pages && !dirty[p] && !g.dirty[p]) continue;
+        const std::uint64_t a = std::max(lo, p * kPage) - p * kPage;
+        const std::uint64_t b = std::min(hi, (p + 1) * kPage) - p * kPage;
+        const std::uint8_t* want =
+            g.page_at[p] ? g.bytes.data() + (g.page_at[p] - 1) * kPage : kZeroPage;
+        compared += b - a;
+        if (std::memcmp(mem.page_data(p) + a, want + a, b - a) != 0) return false;
+    }
+    return true;
+}
+
+} // namespace
 
 GoldenRef capture_golden(const sim::Machine& m) {
     GoldenRef g;
@@ -91,12 +132,19 @@ GoldenRef capture_golden(const sim::Machine& m) {
     g.ticks = m.time_ticks();
     g.app_start = m.app_start_retired();
     g.exit_code = m.exit_code();
+    const sim::Memory& mem = m.mem();
+    auto img = std::make_shared<GoldenImage>();
+    img->epoch = mem.dirty_epoch();
+    img->dirty = mem.dirty_pages();
+    img->page_at.assign(mem.page_count(), 0);
+    capture_range(mem, 0, mem.kern_size(), *img);
     for (unsigned p = 0; p < m.config().procs; ++p) {
         g.outputs.push_back(m.output(p));
-        g.data_hash.push_back(static_data_hash(m, p));
+        const auto [lo, len] = static_data_range(m, p);
+        capture_range(mem, lo, len, *img);
     }
-    g.kern_hash = kernel_region_hash(m);
     g.arch_hash = arch_state_hash(m);
+    g.image = std::move(img);
     return g;
 }
 
@@ -124,15 +172,32 @@ Outcome classify(const sim::Machine& m, const GoldenRef& golden, bool hit_watchd
         if (code != 0) return Outcome::UT; // includes never-exited (-1)
     }
     if (m.exit_code() != golden.exit_code) return Outcome::UT;
-    // silent data corruption?
-    for (unsigned p = 0; p < m.config().procs; ++p) {
-        if (m.output(p) != golden.outputs[p]) return Outcome::OMM;
-        if (static_data_hash(m, p) != golden.data_hash[p]) return Outcome::OMM;
+    const sim::Memory& mem = m.mem();
+    if (!golden.image || golden.image->page_at.size() != mem.page_count())
+        util::fail("classify: golden reference has no memory image of this geometry");
+    const GoldenImage& img = *golden.image;
+    const bool all_pages = img.epoch != mem.dirty_epoch();
+    std::uint64_t compared = 0;
+    const Outcome o = [&] {
+        // silent data corruption?
+        for (unsigned p = 0; p < m.config().procs; ++p) {
+            if (m.output(p) != golden.outputs[p]) return Outcome::OMM;
+            const auto [lo, len] = static_data_range(m, p);
+            if (!range_matches(mem, img, all_pages, lo, len, compared))
+                return Outcome::OMM;
+        }
+        // architectural traces?
+        if (arch_state_hash(m) != golden.arch_hash) return Outcome::ONA;
+        if (!range_matches(mem, img, all_pages, 0, mem.kern_size(), compared))
+            return Outcome::ONA;
+        return Outcome::Vanished;
+    }();
+    if (telemetry::enabled()) {
+        static const telemetry::MetricId kBytes =
+            telemetry::counter_id("classify.bytes_compared");
+        telemetry::count(kBytes, compared);
     }
-    // architectural traces?
-    if (arch_state_hash(m) != golden.arch_hash) return Outcome::ONA;
-    if (kernel_region_hash(m) != golden.kern_hash) return Outcome::ONA;
-    return Outcome::Vanished;
+    return o;
 }
 
 } // namespace serep::core

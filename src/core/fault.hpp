@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,29 +61,46 @@ struct Fault {
     FaultTarget target;
 };
 
+/// The golden run's final bytes of the regions classify() compares — the
+/// kernel region (TCBs, channels) and each process's static data (where
+/// results live) — plus its dirty bitmap and dirty epoch (sim/memory.hpp).
+/// Pages are whole physical pages; all-zero ones are not stored (most of
+/// the kernel region is never written), so an image costs a few pages.
+struct GoldenImage {
+    std::uint64_t epoch = 0;
+    std::vector<std::uint8_t> dirty;    ///< one byte per physical page
+    /// Per physical page: 1 + index of its image in `bytes`, or 0 for an
+    /// all-zero page (and for pages outside the compared regions).
+    std::vector<std::uint32_t> page_at;
+    std::vector<std::uint8_t> bytes;    ///< the non-zero page images
+};
+
 /// Reference captured from the faultless run (phase 1 of the workflow).
+/// Copies share one GoldenImage.
 struct GoldenRef {
     std::uint64_t total_retired = 0;
     std::uint64_t ticks = 0;
     std::uint64_t app_start = 0;
     int exit_code = 0;
     std::vector<std::string> outputs;     ///< per process
-    std::vector<std::uint64_t> data_hash; ///< per-process static data region
-    std::uint64_t kern_hash = 0;          ///< kernel region (TCBs, channels)
     std::uint64_t arch_hash = 0;          ///< all register files
+    std::shared_ptr<const GoldenImage> image; ///< null when read from a database
 };
 
 /// Hash of the architectural register state of every core.
 std::uint64_t arch_state_hash(const sim::Machine& m);
-/// Hash of one process's static data region (where results live).
-std::uint64_t static_data_hash(const sim::Machine& m, unsigned proc);
-std::uint64_t kernel_region_hash(const sim::Machine& m);
 
 /// Capture the golden reference from a finished faultless run.
 GoldenRef capture_golden(const sim::Machine& m);
 
 /// Classify a finished faulty run against the golden reference.
-/// `hit_watchdog` marks runs stopped by the instruction budget.
+/// `hit_watchdog` marks runs stopped by the instruction budget. Checks run
+/// in this order: UT (panic or error exit), Hang, then per process output
+/// and static data (OMM), then registers and kernel region (ONA). The two
+/// memory checks are exact byte comparisons restricted to the pages dirty
+/// in either run: when the run and the golden share a dirty epoch (clones
+/// off the golden run's checkpoint ladder), a page clean in both holds the
+/// epoch's bytes in both. Otherwise every page is compared.
 Outcome classify(const sim::Machine& m, const GoldenRef& golden, bool hit_watchdog);
 
 void apply_fault(sim::Machine& m, const FaultTarget& t);

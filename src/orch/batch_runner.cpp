@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "npb/npb.hpp"
@@ -30,7 +31,7 @@ void fold_trace_stats(const sim::Machine& m) {
 
 /// Fold one finished machine's engine/cache tallies into the registry.
 /// Golden machines are built fresh (counters start at zero), so absolute
-/// values are per-run deltas. Fault-run clones inherit warm rung caches, so
+/// values are per-run deltas. Fault-run machines carry warm rung caches, so
 /// only `steps` and the copy-reset TraceStats are folded for those — cache
 /// hit/miss rates come from golden runs alone (see docs/telemetry.md).
 void fold_golden_machine(const sim::Machine& m) {
@@ -126,10 +127,11 @@ BatchRunner::GoldenEntry* BatchRunner::golden_for(const npb::Scenario& s) {
 
 void BatchRunner::drop_golden_ref(GoldenEntry* golden) {
     // Last reference on this scenario in the batch: no injection (or verify)
-    // run can touch the ladder anymore (every task finishes with its clone
-    // before dropping its reference), so release all rungs. A later batch on
-    // the same runner still hits the golden cache (reference + fault list
-    // reuse) and reinstalls a rebuilt base for from-reset replay.
+    // run can touch the ladder anymore (every task is done restoring from it
+    // before dropping its reference; a pool slot's machine is an independent
+    // value), so release all rungs. A later batch on the same runner still
+    // hits the golden cache (reference + fault list reuse) and reinstalls a
+    // rebuilt base for from-reset replay.
     // retain_ladders keeps the rungs instead, for callers that re-queue the
     // same scenarios.
     if (golden &&
@@ -144,9 +146,14 @@ void BatchRunner::complete_job(JobState& job) {
 }
 
 core::FaultRecord BatchRunner::simulate_fault(const JobState& job,
-                                              std::uint32_t i, bool counted) {
+                                              std::uint32_t i, bool counted,
+                                              std::optional<sim::Machine>& worker) {
     const core::Fault& f = job.faults[i];
-    sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
+    if (worker)
+        job.golden->ladder.restore_into(*worker, f.at_retired);
+    else
+        worker.emplace(job.golden->ladder.clone_nearest(f.at_retired));
+    sim::Machine& run = *worker;
     const std::uint64_t clone_retired = run.total_retired();
     run.run_until(f.at_retired);
     core::apply_fault(run, f.target);
@@ -162,7 +169,7 @@ core::FaultRecord BatchRunner::simulate_fault(const JobState& job,
         if (tm::enabled()) {
             static const tm::MetricId kSteps = tm::counter_id("engine.steps");
             static const tm::MetricId kRuns = tm::counter_id("batch.fault_runs");
-            // Clone caches carry the rung's warm counts, so only the step
+            // Restored caches carry the rung's warm counts, so only the step
             // delta and the copy-reset superblock stats are per-run facts.
             tm::count(kSteps, run.total_retired() - clone_retired);
             tm::count(kRuns);
@@ -326,7 +333,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             tm::count("prune.inferred", job.faults.size() - reps - follows);
             tm::count("batch.runs_planned", reps);
         }
-        // The verify sample clones from this job's ladder after the job
+        // The verify sample restores from this job's ladder after the job
         // completes; hold an extra golden reference so complete_job cannot
         // trim the rungs first.
         if (opts_.prune_verify > 0)
@@ -342,13 +349,33 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     }
 
     // Phase 3: every job's injection runs interleaved on one pool. Each run
-    // resumes from the deepest ladder rung at or before its strike instant.
+    // resumes from the deepest ladder rung at or before its strike instant,
+    // restored in place on its pool slot's machine; the machines live until
+    // the wave ends (prune-verify reuses them) and no longer. Runs are
+    // queued scenario by scenario, since a slot moving to another ladder
+    // pays a full clone; records land in their own slots, so the order
+    // changes no output.
+    {
+        std::vector<const GoldenEntry*> scenarios;
+        for (std::size_t j : wave_jobs)
+            if (std::find(scenarios.begin(), scenarios.end(), jobs_[j]->golden) ==
+                scenarios.end())
+                scenarios.push_back(jobs_[j]->golden);
+        std::vector<std::pair<JobState*, std::uint32_t>> grouped;
+        grouped.reserve(tasks.size());
+        for (const GoldenEntry* g : scenarios)
+            for (const auto& t : tasks)
+                if (t.first->golden == g) grouped.push_back(t);
+        tasks = std::move(grouped);
+    }
+    std::vector<std::optional<sim::Machine>> workers(pool.threads());
     {
         tm::Span phase("batch.inject");
-        pool.parallel_for(tasks.size(), [&](std::size_t t) {
+        pool.parallel_for(tasks.size(), [&](std::size_t t, unsigned slot) {
             JobState& job = *tasks[t].first;
             const std::uint32_t i = tasks[t].second;
-            const core::FaultRecord rec = simulate_fault(job, i, true);
+            const core::FaultRecord rec =
+                simulate_fault(job, i, true, workers[slot]);
             job.result.records[i] = rec;
             // Pruning: every member of this representative's equivalence class
             // has a bit-identical faulty future, so its record is this one
@@ -398,10 +425,11 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
         }
         tm::Span phase("batch.prune_verify");
         std::atomic<std::size_t> verified{0};
-        pool.parallel_for(vtasks.size(), [&](std::size_t t) {
+        pool.parallel_for(vtasks.size(), [&](std::size_t t, unsigned slot) {
             JobState& job = *vtasks[t].job;
             const std::uint32_t i = vtasks[t].i;
-            const core::FaultRecord redo = simulate_fault(job, i, false);
+            const core::FaultRecord redo =
+                simulate_fault(job, i, false, workers[slot]);
             const core::FaultRecord& rec = job.result.records[i];
             if (redo.outcome == rec.outcome && redo.retired == rec.retired) {
                 verified.fetch_add(1, std::memory_order_relaxed);

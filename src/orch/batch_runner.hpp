@@ -7,7 +7,10 @@
 //   * every job's fault runs are interleaved on the shared pool, so a batch
 //     of skewed campaigns keeps all host threads busy,
 //   * injection runs start from the nearest checkpoint-ladder rung instead of
-//     fast-forwarding from reset (see orch/checkpoint.hpp),
+//     fast-forwarding from reset (see orch/checkpoint.hpp); each pool slot
+//     keeps one machine for the length of a wave and restores it in place
+//     for every fault run it executes, so a run's fixed cost scales with the
+//     pages it wrote rather than with guest memory size,
 //   * run_all() returns the campaigns in job order; the merged CSV / JSONL
 //     databases are core::write_campaign_streams over that vector.
 //
@@ -18,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -102,7 +106,7 @@ public:
     /// for the one-golden-run-per-scenario guarantee).
     std::size_t golden_executions() const noexcept { return golden_runs_; }
 
-    /// Instructions replayed to position injection clones at their strike
+    /// Instructions replayed to position fault-run machines at their strike
     /// instants (checkpoint -> strike fast-forward). Deterministic for a
     /// given seed and ladder config: the ladder's benefit is exactly the
     /// reduction of this number vs the stride-disabled path, which is how
@@ -144,12 +148,15 @@ private:
 
     GoldenEntry* golden_for(const npb::Scenario& s);
     void run_wave(const std::vector<std::size_t>& wave_jobs, Scheduler& pool);
-    /// One fault run of job fault `i`: clone the nearest rung, run to the
-    /// strike, apply the fault, run to the budget, classify. `counted` runs
-    /// feed fast_forward_retired() and the engine.steps telemetry; the
-    /// prune-verify re-runs pass false so those stay campaign facts.
+    /// One fault run of job fault `i` on the calling pool slot's `worker`
+    /// machine: restore it in place to the nearest rung (a clone when the
+    /// slot has none yet), run to the strike, apply the fault, run to the
+    /// budget, classify. `counted` runs feed fast_forward_retired() and the
+    /// engine.steps telemetry; the prune-verify re-runs pass false so those
+    /// stay campaign facts.
     core::FaultRecord simulate_fault(const JobState& job, std::uint32_t i,
-                                     bool counted);
+                                     bool counted,
+                                     std::optional<sim::Machine>& worker);
     void complete_job(JobState& job);
     void drop_golden_ref(GoldenEntry* golden);
 

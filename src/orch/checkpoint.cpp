@@ -23,12 +23,14 @@ void drop_every_other(std::vector<T>& rungs) {
 } // namespace
 
 CheckpointLadder::CheckpointLadder(sim::Machine& m, const LadderOptions& opts)
-    : base_(m), delta_mode_(opts.delta_snapshots),
-      budget_bytes_(opts.memory_budget_bytes) {
+    : delta_mode_(opts.delta_snapshots), budget_bytes_(opts.memory_budget_bytes) {
     // From here on, m's dirty set is exactly "written since the base rung" —
-    // what make_machine_delta() diffs against the base.
+    // what make_machine_delta() diffs against the base. The base copy is
+    // taken after the clear, so it shares the epoch with a clean bitmap.
     m.mem().clear_dirty();
+    base_.emplace(m);
     if (delta_mode_) {
+        base_shell_.emplace(sim::make_machine_delta(m, *base_));
         // Delta rungs have data-dependent sizes; the byte budget is enforced
         // dynamically in enforce_budgets() instead of precomputed.
         max_rungs_ = std::max<std::size_t>(1, opts.max_checkpoints);
@@ -90,19 +92,49 @@ std::uint64_t CheckpointLadder::nearest_retired(std::uint64_t at) const noexcept
     return base_ ? base_->total_retired() : 0;
 }
 
-sim::Machine CheckpointLadder::clone_nearest(std::uint64_t at) const {
-    if (telemetry::enabled()) {
-        static const telemetry::MetricId kRestores =
-            telemetry::counter_id("checkpoint.restores");
-        telemetry::count(kRestores);
-    }
+namespace {
+void count_restore(std::uint64_t bytes) {
+    if (!telemetry::enabled()) return;
+    static const telemetry::MetricId kRestores =
+        telemetry::counter_id("checkpoint.restores");
+    static const telemetry::MetricId kBytes =
+        telemetry::counter_id("checkpoint.restore_bytes");
+    telemetry::count(kRestores);
+    telemetry::count(kBytes, bytes);
+}
+} // namespace
+
+const sim::MachineDelta* CheckpointLadder::nearest_delta(std::uint64_t at) const noexcept {
     // Deepest rung with total_retired() <= at; rungs are ascending.
     for (std::size_t i = deltas_.size(); i-- > 0;)
-        if (deltas_[i].retired() <= at)
-            return sim::restore_machine_delta(deltas_[i], *base_);
+        if (deltas_[i].retired() <= at) return &deltas_[i];
+    return nullptr;
+}
+
+sim::Machine CheckpointLadder::clone_nearest(std::uint64_t at) const {
+    constexpr std::uint64_t kPage = isa::layout::kPageSize;
+    if (const sim::MachineDelta* d = nearest_delta(at)) {
+        count_restore(base_->mem().phys_size() + d->pages.size() * kPage);
+        return sim::restore_machine_delta(*d, *base_);
+    }
     for (std::size_t i = full_.size(); i-- > 0;)
-        if (full_[i].total_retired() <= at) return full_[i];
+        if (full_[i].total_retired() <= at) {
+            count_restore(full_[i].mem().phys_size());
+            return full_[i];
+        }
+    count_restore(base_->mem().phys_size());
     return *base_;
+}
+
+void CheckpointLadder::restore_into(sim::Machine& dst, std::uint64_t at) const {
+    if (!base_shell_ || !dst.mem().has_payload() ||
+        dst.mem().dirty_epoch() != base_->mem().dirty_epoch()) {
+        dst.mem().drop_payload(); // never hold two guest memories at once
+        dst = clone_nearest(at);
+        return;
+    }
+    const sim::MachineDelta* d = nearest_delta(at);
+    count_restore(sim::restore_machine_delta_into(dst, d ? *d : *base_shell_, *base_));
 }
 
 std::uint64_t CheckpointLadder::next_boundary() const noexcept {
@@ -112,6 +144,7 @@ std::uint64_t CheckpointLadder::next_boundary() const noexcept {
 
 void CheckpointLadder::release_all() {
     base_.reset();
+    base_shell_.reset();
     full_.clear();
     deltas_.clear();
 }
@@ -119,11 +152,14 @@ void CheckpointLadder::release_all() {
 void CheckpointLadder::reset_base(sim::Machine m) {
     full_.clear();
     deltas_.clear();
+    m.mem().clear_dirty(); // a new epoch: clones of the old base fall back
+    if (delta_mode_) base_shell_.emplace(sim::make_machine_delta(m, m));
     base_.emplace(std::move(m));
 }
 
 std::size_t CheckpointLadder::footprint_bytes() const noexcept {
     std::size_t total = base_ ? sim::machine_footprint_bytes(*base_) : 0;
+    if (base_shell_) total += base_shell_->footprint_bytes();
     for (const auto& r : full_) total += sim::machine_footprint_bytes(r);
     for (const auto& d : deltas_) total += d.footprint_bytes();
     return total;

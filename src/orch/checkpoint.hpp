@@ -5,11 +5,20 @@
 // fault-to-worker assignment to the fast-forward state and rules out work
 // stealing. The ladder decouples them: during the golden execution we keep
 // snapshots of the machine at a fixed retired-instruction stride, and every
-// injection run clones the deepest snapshot at or before its strike instant,
-// replaying at most one stride of instructions instead of the whole prefix.
-// Snapshot positions depend only on the deterministic instruction stream, so
-// outcomes are bit-identical for any stride (including a disabled ladder,
-// which degenerates to from-reset replay).
+// injection run starts from the deepest snapshot at or before its strike
+// instant, replaying at most one stride of instructions instead of the whole
+// prefix. Snapshot positions depend only on the deterministic instruction
+// stream, so outcomes are bit-identical for any stride (including a disabled
+// ladder, which degenerates to from-reset replay).
+//
+// In-place restore: a fault run does not need a fresh clone. The base copy
+// and every machine the ladder hands out share one dirty epoch
+// (sim/memory.hpp), so a finished fault run's dirty bitmap is exactly the
+// pages written since the base — the rung's plus the run's own. restore_into
+// rewrites just those pages from the base, applies the target rung's delta
+// pages and copy-assigns the rung's payload-free shell, turning a machine
+// reused across fault runs into exactly clone_nearest(at). Restore cost
+// scales with the pages a run touched, not with guest memory size.
 //
 // Rung representation: the base rung is a full Machine copy; deeper rungs
 // default to dirty-page delta snapshots against the base (sim/snapshot.hpp)
@@ -71,6 +80,13 @@ public:
     /// Materialize the deepest snapshot with total_retired() <= at (the base
     /// rung at worst) as a runnable clone.
     sim::Machine clone_nearest(std::uint64_t at) const;
+    /// Make `dst` exactly clone_nearest(at), in place when `dst` came from
+    /// this delta ladder (any clone_nearest/restore_into result, run any
+    /// distance since): only pages dirty in `dst` plus the rung's delta
+    /// pages are rewritten. Any other `dst` (a full-copy ladder, another
+    /// ladder's machine, a base rebuilt by reset_base since) is replaced by
+    /// clone_nearest(at). Safe to call concurrently on distinct machines.
+    void restore_into(sim::Machine& dst, std::uint64_t at) const;
     /// Retired count of the rung clone_nearest(at) would start from.
     std::uint64_t nearest_retired(std::uint64_t at) const noexcept;
 
@@ -105,8 +121,13 @@ public:
 private:
     void enforce_budgets();
     std::uint64_t last_retired() const noexcept;
+    /// Deepest delta rung at or before `at`; null = the base rung.
+    const sim::MachineDelta* nearest_delta(std::uint64_t at) const noexcept;
 
     std::optional<sim::Machine> base_;
+    /// Delta mode: the base rung as a zero-page delta (its payload-free
+    /// shell), so restore_into covers strikes before the first rung too.
+    std::optional<sim::MachineDelta> base_shell_;
     std::vector<sim::Machine> full_;        ///< full-copy mode rungs, ascending
     std::vector<sim::MachineDelta> deltas_; ///< delta mode rungs, ascending
     bool delta_mode_;

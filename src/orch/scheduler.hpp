@@ -42,6 +42,11 @@ public:
     /// `body` are captured and the first one is rethrown here after the
     /// remaining items ran. Concurrent parallel_for calls are serialized.
     void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+    /// As above, but body(i, slot) also receives the executing participant's
+    /// slot in [0, threads()). A slot runs one item at a time, so per-slot
+    /// state (a reused scratch machine) needs no locking.
+    void parallel_for(std::size_t n,
+                      const std::function<void(std::size_t, unsigned)>& body);
 
     /// Total indices executed across all parallel_for calls (test hook).
     std::uint64_t tasks_executed() const noexcept {

@@ -232,8 +232,8 @@ public:
 
     /// Superblock execution tallies of the cached engine (telemetry only —
     /// never consulted by the engines). Copy-reset like ObserverSlot: clones
-    /// start at zero, so per-run folds read absolute values since
-    /// clone_nearest.
+    /// and copy-assigned machines start at zero, so per-run folds read
+    /// absolute values since the checkpoint restore.
     struct TraceStats {
         std::uint64_t bursts = 0;      ///< superblock segments entered
         std::uint64_t chain_links = 0; ///< inline chains through stable enders
@@ -274,7 +274,8 @@ public:
     /// the filters is observable-neutral (the next touch re-looks-up a line
     /// that is still MRU, so tags/ages/hit counts stay bit-identical; only
     /// the telemetry-only credit split moves). Like StepObserver, the slot
-    /// has copy-reset semantics: clones never inherit the hook.
+    /// has copy-reset semantics: clones never inherit the hook, and copy-
+    /// assignment clears the destination's.
     void set_uncore_hook(std::shared_ptr<UncoreHook> h) noexcept {
         uncore_.ptr = std::move(h);
         for (CoreState& core : cores_) {
@@ -395,12 +396,16 @@ private:
     std::vector<TraceCursor> tcur_;
     TraceStats tstats_;
     /// Observer hookup with copy-reset semantics: clones (ladder rungs,
-    /// fault runs) must never inherit the golden replay's tracer.
+    /// fault runs) must never inherit the golden replay's tracer, and a
+    /// machine copy-assigned over (an in-place ladder restore) drops its own.
     struct ObserverSlot {
         StepObserver* ptr = nullptr;
         ObserverSlot() noexcept = default;
         ObserverSlot(const ObserverSlot&) noexcept {}
-        ObserverSlot& operator=(const ObserverSlot&) noexcept { return *this; }
+        ObserverSlot& operator=(const ObserverSlot&) noexcept {
+            ptr = nullptr;
+            return *this;
+        }
         ObserverSlot(ObserverSlot&& o) noexcept : ptr(o.ptr) { o.ptr = nullptr; }
         ObserverSlot& operator=(ObserverSlot&& o) noexcept {
             ptr = o.ptr;
@@ -411,12 +416,16 @@ private:
     ObserverSlot observer_;
     /// Uncore-hook slot, copy-reset like ObserverSlot but owning: the hook
     /// (an uncore::Model holding the watched-line state) lives exactly as
-    /// long as the one fault-run machine it was armed on.
+    /// long as the one fault run it was armed for — copy-assigning a rung
+    /// over a reused fault-run machine disarms it.
     struct UncoreSlot {
         std::shared_ptr<UncoreHook> ptr;
         UncoreSlot() noexcept = default;
         UncoreSlot(const UncoreSlot&) noexcept {}
-        UncoreSlot& operator=(const UncoreSlot&) noexcept { return *this; }
+        UncoreSlot& operator=(const UncoreSlot&) noexcept {
+            ptr.reset();
+            return *this;
+        }
         UncoreSlot(UncoreSlot&&) noexcept = default;
         UncoreSlot& operator=(UncoreSlot&&) noexcept = default;
     };

@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <atomic>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -9,9 +10,17 @@ namespace serep::sim {
 
 namespace layout = isa::layout;
 
+namespace {
+std::uint64_t fresh_epoch() noexcept {
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+} // namespace
+
 Memory::Memory(unsigned nprocs, std::uint64_t user_size, std::uint64_t kern_size,
                std::uint64_t text_size)
-    : nprocs_(nprocs), user_size_(user_size), kern_size_(kern_size) {
+    : nprocs_(nprocs), user_size_(user_size), kern_size_(kern_size),
+      epoch_(fresh_epoch()) {
     util::check(nprocs >= 1 && nprocs <= 8, "Memory: 1..8 processes supported");
     util::check(user_size % layout::kPageSize == 0 && kern_size % layout::kPageSize == 0,
                 "Memory: region sizes must be page-multiples");
@@ -32,12 +41,26 @@ void Memory::install_text(const std::uint8_t* bytes, std::uint64_t len) noexcept
                 std::min<std::uint64_t>(len, text_size_));
 }
 
-void Memory::clone_payload_from(const Memory& base) {
-    util::check(base.nprocs_ == nprocs_ && base.user_size_ == user_size_ &&
-                    base.kern_size_ == kern_size_ &&
-                    base.text_size_ == text_size_ && base.has_payload(),
-                "clone_payload_from: geometry mismatch or base is a shell");
-    phys_ = base.phys_;
+void Memory::clear_dirty() noexcept {
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    epoch_ = fresh_epoch();
+}
+
+void Memory::check_same_geometry(const Memory& base, const char* what) const {
+    if (base.nprocs_ != nprocs_ || base.user_size_ != user_size_ ||
+        base.kern_size_ != kern_size_ || base.text_size_ != text_size_ ||
+        !base.has_payload())
+        util::fail(std::string(what) + ": geometry mismatch or base is a shell");
+}
+
+void Memory::fold_marks_from(const Memory& base) noexcept {
+    // A clean page must hold this epoch's bytes; adopted bytes only do where
+    // the base is clean under the same epoch.
+    if (base.epoch_ != epoch_) {
+        mark_all_dirty();
+    } else {
+        for (std::size_t p = 0; p < dirty_.size(); ++p) dirty_[p] |= base.dirty_[p];
+    }
     // The adopted mirror may diverge from the pristine encode exactly where
     // the *base* was ever struck; fold its sticky set into ours so the
     // overlay refresh re-decodes those pages too (ours may be a shell from
@@ -45,6 +68,33 @@ void Memory::clone_payload_from(const Memory& base) {
     for (std::size_t p = 0; p < code_dirty_.size(); ++p)
         code_dirty_[p] |= base.code_dirty_[p];
     ++code_gen_; // mirror content replaced wholesale: force overlay refresh
+}
+
+void Memory::clone_payload_from(const Memory& base) {
+    check_same_geometry(base, "clone_payload_from");
+    phys_ = base.phys_;
+    fold_marks_from(base);
+}
+
+std::vector<std::uint8_t> Memory::take_reverted_payload(const Memory& base,
+                                                        std::uint64_t& pages) {
+    check_same_geometry(base, "take_reverted_payload");
+    if (!has_payload() || base.epoch_ != epoch_)
+        util::fail("take_reverted_payload: shell or foreign dirty epoch");
+    pages = 0;
+    for (std::uint64_t p = 0; p < dirty_.size(); ++p) {
+        if (!dirty_[p] && !base.dirty_[p]) continue; // equal by the epoch
+        std::memcpy(phys_.data() + p * layout::kPageSize, base.page_data(p),
+                    layout::kPageSize);
+        ++pages;
+    }
+    return take_payload();
+}
+
+void Memory::adopt_payload(std::vector<std::uint8_t> payload, const Memory& base) {
+    check_same_geometry(base, "adopt_payload");
+    set_payload(std::move(payload));
+    fold_marks_from(base);
 }
 
 void Memory::set_payload(std::vector<std::uint8_t> payload) {

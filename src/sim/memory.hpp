@@ -12,9 +12,13 @@
 //
 // Dirty-page tracking: every mutation path (store, bit flips, and — at image
 // load time — the raw host-side pointers) marks the touched physical page in
-// a per-page dirty bitmap. clear_dirty() resets it; the checkpoint ladder's
-// delta snapshots (sim/snapshot.hpp) use dirty-since-base as the exact set
-// of pages that can differ from the base rung.
+// a per-page dirty bitmap. clear_dirty() resets it and opens a new dirty
+// epoch: a process-unique id naming the memory state at that instant. The
+// invariant every consumer relies on: a page clean in a memory of epoch E
+// holds exactly its bytes of E's state. Copies share the epoch, so two
+// memories of one epoch can differ only on pages dirty in either — what the
+// checkpoint ladder's delta snapshots and in-place restores
+// (sim/snapshot.hpp) and the classifier (core/fault.hpp) compare.
 #pragma once
 
 #include <algorithm>
@@ -77,7 +81,7 @@ public:
         return phys_.data() + kern_size_ + proc * user_size_;
     }
 
-    /// 64-bit FNV-1a over a physical range (classifier helper).
+    /// 64-bit FNV-1a over a physical range.
     std::uint64_t hash_range(std::uint64_t phys, std::uint64_t len) const noexcept;
 
     /// Flip one bit of a physical byte (memory fault injection).
@@ -113,7 +117,10 @@ public:
     std::uint64_t page_count() const noexcept { return dirty_.size(); }
     /// One byte per physical page; non-zero = written since clear_dirty().
     const std::vector<std::uint8_t>& dirty_pages() const noexcept { return dirty_; }
-    void clear_dirty() noexcept { std::fill(dirty_.begin(), dirty_.end(), 0); }
+    /// Id of the state the dirty bitmap is relative to; fresh per
+    /// construction and per clear_dirty(), carried along by copies.
+    std::uint64_t dirty_epoch() const noexcept { return epoch_; }
+    void clear_dirty() noexcept;
     void mark_all_dirty() noexcept { std::fill(dirty_.begin(), dirty_.end(), 1); }
 
     // ---- payload management (delta snapshots) ----
@@ -121,6 +128,9 @@ public:
     // metadata (geometry, page maps, dirty bits) survives, only the phys
     // byte array is released. clone_payload_from() reinstates one from a
     // geometry-identical base; the delta restore then patches changed pages.
+    // Both adoption paths fold the base's dirty and sticky text sets into
+    // this shell's (every page when the epochs differ), so the epoch
+    // invariant holds whatever base the bytes came from.
     bool has_payload() const noexcept { return !phys_.empty(); }
     /// Actual host bytes held for guest physical memory (0 for a shell).
     std::uint64_t payload_bytes() const noexcept { return phys_.size(); }
@@ -129,6 +139,14 @@ public:
         phys_.shrink_to_fit();
     }
     void clone_payload_from(const Memory& base);
+    /// In-place twin of clone_payload_from for a memory of `base`'s epoch:
+    /// rewrite from `base` only the pages dirty in either, then move the
+    /// now base-equal payload out, leaving a shell. Returns the pages
+    /// rewritten. adopt_payload() installs such bytes on a shell of the
+    /// same geometry as clone_payload_from(base) would.
+    std::vector<std::uint8_t> take_reverted_payload(const Memory& base,
+                                                    std::uint64_t& pages);
+    void adopt_payload(std::vector<std::uint8_t> payload, const Memory& base);
     /// Move the payload out, leaving a shell; set_payload reinstalls it.
     /// Lets make_machine_delta copy a Machine's non-memory state without
     /// ever duplicating guest memory (take, copy the shell, reinstall).
@@ -147,6 +165,10 @@ public:
     void write_page(std::uint64_t page, const std::uint8_t* bytes) noexcept;
 
 private:
+    void check_same_geometry(const Memory& base, const char* what) const;
+    /// Merge `base`'s dirty and sticky text sets after adopting its bytes.
+    void fold_marks_from(const Memory& base) noexcept;
+
     /// Text-mirror write funnel: record a mutation of physical page
     /// `phys_page` so the execution engine re-decodes it if it holds text.
     void note_code_write(std::uint64_t phys_page) noexcept {
@@ -165,6 +187,7 @@ private:
     std::vector<std::uint8_t> dirty_;       // one byte per physical page
     std::vector<std::uint8_t> code_dirty_;  // one byte per text page, sticky
     std::uint64_t code_gen_ = 0;
+    std::uint64_t epoch_;
     std::uint64_t pages_per_proc_;
 };
 

@@ -54,6 +54,19 @@ Machine restore_machine_delta(const MachineDelta& d, const Machine& base) {
     return out;
 }
 
+std::uint64_t restore_machine_delta_into(Machine& dst, const MachineDelta& d,
+                                         const Machine& base) {
+    constexpr std::uint64_t kPage = isa::layout::kPageSize;
+    std::uint64_t reverted = 0;
+    std::vector<std::uint8_t> payload =
+        dst.mem().take_reverted_payload(base.mem(), reverted);
+    dst = d.shell; // cheap: the shell holds no memory payload
+    dst.mem().adopt_payload(std::move(payload), base.mem());
+    for (std::size_t i = 0; i < d.pages.size(); ++i)
+        dst.mem().write_page(d.pages[i], d.bytes.data() + i * kPage);
+    return (reverted + d.pages.size()) * kPage;
+}
+
 RunStatus run_with_checkpoints(Machine& m, std::uint64_t stride,
                                std::uint64_t stop_at,
                                const std::function<void(const Machine&)>& on_checkpoint) {

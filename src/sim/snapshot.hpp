@@ -56,6 +56,14 @@ MachineDelta make_machine_delta(Machine& cur, const Machine& base);
 /// base memory payload, delta pages applied on top.
 Machine restore_machine_delta(const MachineDelta& d, const Machine& base);
 
+/// In-place restore_machine_delta: turn `dst`, a machine of `base`'s dirty
+/// epoch (a clone off the same ladder, run any distance since), into
+/// exactly restore_machine_delta(d, base) by rewriting only the pages dirty
+/// in `dst` (or `base`), applying the delta pages and copy-assigning the
+/// shell around the reused payload. Returns the page bytes rewritten.
+std::uint64_t restore_machine_delta_into(Machine& dst, const MachineDelta& d,
+                                         const Machine& base);
+
 /// Run `m` until `stop_at` or a terminal status, pausing at every multiple of
 /// `stride` retired instructions to invoke `on_checkpoint` (stride == 0 runs
 /// straight through). The callback observes the machine at the boundary; a

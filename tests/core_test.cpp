@@ -7,7 +7,9 @@
 
 #include "core/campaign.hpp"
 #include "mine/mining.hpp"
+#include "orch/checkpoint.hpp"
 #include "prof/profile.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace serep;
 using core::CampaignConfig;
@@ -36,8 +38,10 @@ TEST(Fault, GoldenCaptureIsStable) {
     const auto g2 = core::capture_golden(m2);
     EXPECT_EQ(g1.total_retired, g2.total_retired);
     EXPECT_EQ(g1.arch_hash, g2.arch_hash);
-    EXPECT_EQ(g1.kern_hash, g2.kern_hash);
-    EXPECT_EQ(g1.data_hash, g2.data_hash);
+    ASSERT_TRUE(g1.image && g2.image);
+    EXPECT_EQ(g1.image->page_at, g2.image->page_at);
+    EXPECT_EQ(g1.image->bytes, g2.image->bytes);
+    EXPECT_GT(g1.image->bytes.size(), 0u);
     EXPECT_EQ(g1.outputs, g2.outputs);
     EXPECT_GT(g1.app_start, 0u);
     EXPECT_LT(g1.app_start, g1.total_retired);
@@ -85,6 +89,97 @@ TEST(Fault, DeadRegisterFaultVanishesOrLeavesTrace) {
     const auto o = core::classify(m, g, false);
     EXPECT_TRUE(o == Outcome::Vanished || o == Outcome::ONA)
         << core::outcome_name(o);
+}
+
+TEST(Fault, DirtyPageClassifyMatchesAllPagesClassify) {
+    // classify() compares only the pages dirty in either run when the run
+    // and the golden share a dirty epoch, and every page otherwise. The two
+    // must agree on every outcome — and a ladder whose base was taken
+    // mid-run (foreign epoch) must classify its runs exactly too.
+    using Kind = core::FaultTarget::Kind;
+    const Scenario s{isa::Profile::V8, App::IS, Api::OMP, 2, Klass::Mini};
+    orch::LadderOptions lopts;
+    lopts.max_checkpoints = 4;
+    sim::Machine gm = npb::make_machine(s, false);
+    const orch::CheckpointLadder ladder = orch::run_golden_with_ladder(gm, lopts);
+    const auto g = core::capture_golden(gm); // the ladder's epoch
+    const auto reset_run = golden_of(s);
+    const auto other = core::capture_golden(reset_run);
+    ASSERT_EQ(g.image->epoch, ladder.base().mem().dirty_epoch());
+    ASSERT_NE(other.image->epoch, g.image->epoch);
+
+    sim::Machine mid = npb::make_machine(s, false);
+    mid.run_until(g.app_start / 2);
+    const orch::CheckpointLadder mid_ladder = orch::run_golden_with_ladder(mid, lopts);
+    ASSERT_NE(mid_ladder.base().mem().dirty_epoch(), g.image->epoch);
+
+    const auto finish = [&](sim::Machine m, const core::Fault& f) {
+        m.run_until(f.at_retired);
+        core::apply_fault(m, f.target);
+        m.run_until(g.total_retired * 4 + 200'000);
+        return m;
+    };
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    std::uint64_t dirty_bytes = 0, all_bytes = 0;
+    std::array<unsigned, core::kOutcomeCount> seen{};
+    for (const Kind kind : {Kind::GPR, Kind::FP, Kind::MEM, Kind::CacheTag,
+                            Kind::CacheData, Kind::Bus}) {
+        CampaignConfig cfg;
+        cfg.n_faults = 24;
+        cfg.include_fp_regs = kind == Kind::FP;
+        cfg.memory_faults = kind == Kind::MEM;
+        cfg.uncore_kind = core::is_uncore_kind(kind) ? kind : Kind::GPR;
+        for (const core::Fault& f : core::make_fault_list(gm, g, cfg)) {
+            const sim::Machine run = finish(ladder.clone_nearest(f.at_retired), f);
+            const bool wd = run.status() == sim::RunStatus::Running;
+            const std::uint64_t b0 = telemetry::counter_value("classify.bytes_compared");
+            const Outcome dirty_path = core::classify(run, g, wd);
+            const std::uint64_t b1 = telemetry::counter_value("classify.bytes_compared");
+            const Outcome all_path = core::classify(run, other, wd);
+            const std::uint64_t b2 = telemetry::counter_value("classify.bytes_compared");
+            dirty_bytes += b1 - b0;
+            all_bytes += b2 - b1;
+            EXPECT_EQ(dirty_path, all_path)
+                << core::fault_kind_name(f.target.kind) << " at " << f.at_retired;
+            const sim::Machine from_mid =
+                finish(mid_ladder.clone_nearest(f.at_retired), f);
+            EXPECT_EQ(core::classify(from_mid, g,
+                                     from_mid.status() == sim::RunStatus::Running),
+                      dirty_path)
+                << core::fault_kind_name(f.target.kind) << " at " << f.at_retired;
+            ++seen[static_cast<unsigned>(dirty_path)];
+        }
+    }
+    telemetry::set_enabled(false);
+    telemetry::reset();
+    EXPECT_GT(seen[static_cast<unsigned>(Outcome::Vanished)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(Outcome::OMM)], 0u);
+    EXPECT_GT(all_bytes, 4 * dirty_bytes) << "the dirty path must compare less";
+
+    // A page only the golden run wrote is compared too: give the golden a
+    // kernel page that a fault-free run leaves clean, and that run is ONA.
+    sim::Machine clean = ladder.clone_nearest(0);
+    clean.run_until(~0ULL >> 1);
+    ASSERT_EQ(core::classify(clean, g, false), Outcome::Vanished);
+    auto edited = std::make_shared<core::GoldenImage>(*g.image);
+    std::uint64_t page = 0;
+    while (clean.mem().dirty_pages()[page] || edited->page_at[page] != 0) ++page;
+    ASSERT_LT(page, clean.mem().kern_size() / isa::layout::kPageSize);
+    edited->dirty[page] = 1;
+    edited->bytes.resize(edited->bytes.size() + isa::layout::kPageSize, 0);
+    edited->bytes.back() = 1;
+    edited->page_at[page] =
+        static_cast<std::uint32_t>(edited->bytes.size() / isa::layout::kPageSize);
+    core::GoldenRef golden_wrote = g;
+    golden_wrote.image = edited;
+    EXPECT_EQ(core::classify(clean, golden_wrote, false), Outcome::ONA);
+    // Under a foreign epoch the bitmaps mean nothing: every page is compared.
+    auto foreign = std::make_shared<core::GoldenImage>(*edited);
+    foreign->epoch = other.image->epoch;
+    std::fill(foreign->dirty.begin(), foreign->dirty.end(), 0);
+    golden_wrote.image = foreign;
+    EXPECT_EQ(core::classify(clean, golden_wrote, false), Outcome::ONA);
 }
 
 TEST(Campaign, FaultListDeterministicAndInWindow) {

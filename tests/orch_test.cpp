@@ -294,6 +294,12 @@ TEST(BatchRunner, GoldenCacheRunsOneGoldenPerScenario) {
     const auto more = runner.run_all();
     ASSERT_EQ(more.size(), 2u);
     EXPECT_EQ(runner.golden_executions(), 2u);
+    // The reused scenario restarts from a rebuilt base (a new dirty epoch,
+    // so its runs classify against every golden page): same records as a
+    // fresh runner's.
+    orch::BatchRunner fresh;
+    fresh.add(kSmall, small_config(10, 3));
+    EXPECT_EQ(core::campaign_csv(more[0]), core::campaign_csv(fresh.run_all()[0]));
 }
 
 TEST(BatchRunner, GoldenCacheDistinguishesProblemClass) {

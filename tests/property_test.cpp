@@ -1,16 +1,21 @@
 // Property tests across module boundaries: guest par_bounds partitions,
-// soft-float boundary behaviour, classifier invariants under random faults.
+// soft-float boundary behaviour, classifier invariants under random faults,
+// checkpoint restore (delta and in place) against full copies.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
 
 #include "core/campaign.hpp"
 #include "harness.hpp"
 #include "kgen/kgen.hpp"
+#include "orch/checkpoint.hpp"
 #include "rt/librt.hpp"
 #include "rt/softfloat.hpp"
 #include "sim/snapshot.hpp"
+#include "uncore/uncore.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -322,5 +327,154 @@ TEST(ClassifierInvariants, InjectionAtAppStartAndEndAreValid) {
         const auto o =
             core::classify(m, g, m.status() == sim::RunStatus::Running);
         EXPECT_LT(static_cast<unsigned>(o), core::kOutcomeCount);
+    }
+}
+
+namespace {
+
+/// Every observable an in-place restore must reproduce.
+void expect_same_state(const sim::Machine& a, const sim::Machine& b,
+                       const std::string& where) {
+    ASSERT_EQ(a.mem().phys_size(), b.mem().phys_size()) << where;
+    for (std::uint64_t p = 0; p < a.mem().page_count(); ++p)
+        ASSERT_EQ(std::memcmp(a.mem().page_data(p), b.mem().page_data(p),
+                              isa::layout::kPageSize),
+                  0)
+            << where << " page " << p;
+    EXPECT_EQ(a.mem().dirty_pages(), b.mem().dirty_pages()) << where;
+    EXPECT_EQ(a.mem().dirty_epoch(), b.mem().dirty_epoch()) << where;
+    EXPECT_EQ(a.mem().code_dirty_pages(), b.mem().code_dirty_pages()) << where;
+    EXPECT_EQ(core::arch_state_hash(a), core::arch_state_hash(b)) << where;
+    EXPECT_EQ(a.total_retired(), b.total_retired()) << where;
+    EXPECT_EQ(a.uncore_hook(), nullptr) << where;
+    for (unsigned c = 0; c < a.cores(); ++c) {
+        EXPECT_EQ(a.l1i(c).hits(), b.l1i(c).hits()) << where << " core " << c;
+        EXPECT_EQ(a.l1i(c).misses(), b.l1i(c).misses()) << where << " core " << c;
+        EXPECT_EQ(a.l1d(c).hits(), b.l1d(c).hits()) << where << " core " << c;
+        EXPECT_EQ(a.l1d(c).misses(), b.l1d(c).misses()) << where << " core " << c;
+    }
+    EXPECT_EQ(a.l2().hits(), b.l2().hits()) << where;
+    EXPECT_EQ(a.l2().misses(), b.l2().misses()) << where;
+    for (unsigned p = 0; p < a.config().procs; ++p)
+        EXPECT_EQ(a.output(p), b.output(p)) << where << " proc " << p;
+}
+
+/// A strike of `kind` on `m`'s geometry. MEM strikes land in the first
+/// process's static data, or in the text mirror when `text`.
+core::FaultTarget random_target(core::FaultTarget::Kind kind, const sim::Machine& m,
+                                util::Rng& rng, bool text) {
+    core::FaultTarget t;
+    t.kind = kind;
+    t.core = static_cast<unsigned>(rng.below(m.cores()));
+    switch (kind) {
+    case core::FaultTarget::Kind::GPR:
+        t.reg = static_cast<unsigned>(rng.below(8));
+        t.bit = static_cast<unsigned>(rng.below(16));
+        break;
+    case core::FaultTarget::Kind::MEM:
+        t.phys = text ? m.mem().text_base() + rng.below(m.mem().text_size())
+                      : m.mem().kern_size() + rng.below(m.image().udata_size);
+        t.bit = static_cast<unsigned>(rng.below(8));
+        break;
+    case core::FaultTarget::Kind::CacheTag:
+    case core::FaultTarget::Kind::CacheData:
+        t.reg = uncore::kLevelL1D;
+        t.phys = rng.below(uncore::cell_count(uncore::kLevelL1D));
+        t.bit = static_cast<unsigned>(
+            kind == core::FaultTarget::Kind::CacheData
+                ? rng.below(64 * 8)
+                : rng.below(uncore::tag_bit_count(uncore::kLevelL1D,
+                                                  m.mem().phys_size())));
+        break;
+    default:
+        t.bit = static_cast<unsigned>(rng.below(64));
+        break;
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(CheckpointInvariants, InPlaceRestoreMatchesCloneNearestOnFullState) {
+    // One machine reused across a seeded sequence of fault runs of mixed
+    // kinds, restored in place to random rungs (the base rung included),
+    // must equal a fresh clone_nearest each time — on memory, dirty sets,
+    // registers, cache counters and outputs — and then run the next fault
+    // to the same end.
+    using Kind = core::FaultTarget::Kind;
+    const npb::Scenario s{isa::Profile::V7, npb::App::IS, npb::Api::OMP, 2,
+                          npb::Klass::Mini};
+    const Kind kinds[] = {Kind::GPR,      Kind::MEM, Kind::CacheTag,
+                          Kind::CacheData, Kind::Bus, Kind::MEM};
+    for (const sim::Engine e : {sim::Engine::Switch, sim::Engine::Cached}) {
+        sim::Machine gm = npb::make_machine(s, false);
+        gm.set_engine(e);
+        orch::LadderOptions lopts;
+        lopts.max_checkpoints = 6;
+        const orch::CheckpointLadder ladder = orch::run_golden_with_ladder(gm, lopts);
+        ASSERT_EQ(gm.status(), sim::RunStatus::Shutdown);
+        ASSERT_GT(ladder.checkpoints(), 1u);
+        ASSERT_TRUE(ladder.base().mem().has_text());
+        const core::GoldenRef g = core::capture_golden(gm);
+        const std::uint64_t budget = g.total_retired * 2 + 200'000;
+        const std::uint64_t base_at = ladder.base().total_retired();
+
+        util::Rng rng(0x1DE5 + static_cast<unsigned>(e));
+        std::optional<sim::Machine> reused;
+        unsigned restored_in_place = 0, base_rungs = 0;
+        for (int k = 0; k < 18; ++k) {
+            const Kind kind = kinds[k % std::size(kinds)];
+            // Every third run strikes before the first rung.
+            const std::uint64_t at =
+                k % 3 == 0 ? rng.range(base_at, base_at + ladder.stride() - 1)
+                           : rng.range(g.app_start, g.total_retired - 1);
+            base_rungs += ladder.nearest_retired(at) == base_at;
+            const std::string where = "engine " + std::to_string(int(e)) +
+                                      " run " + std::to_string(k) + " at " +
+                                      std::to_string(at);
+            if (reused) {
+                // In place: the guest memory buffer is kept, not replaced.
+                const std::uint8_t* payload = reused->mem().page_data(0);
+                ladder.restore_into(*reused, at);
+                restored_in_place += reused->mem().page_data(0) == payload;
+            } else {
+                reused.emplace(ladder.clone_nearest(at));
+            }
+            sim::Machine fresh = ladder.clone_nearest(at);
+            expect_same_state(*reused, fresh, where);
+
+            // The second MEM slot strikes the text mirror.
+            const core::FaultTarget t = random_target(
+                kind, fresh, rng, k % std::size(kinds) == std::size(kinds) - 1);
+            for (sim::Machine* m : {&*reused, &fresh}) {
+                m->run_until(at);
+                core::apply_fault(*m, t);
+                m->run_until(budget);
+            }
+            const bool wd = fresh.status() == sim::RunStatus::Running;
+            EXPECT_EQ(core::classify(*reused, g, wd), core::classify(fresh, g, wd))
+                << where;
+            EXPECT_EQ(reused->status(), fresh.status()) << where;
+            EXPECT_EQ(reused->total_retired(), fresh.total_retired()) << where;
+            EXPECT_EQ(reused->time_ticks(), fresh.time_ticks()) << where;
+            for (unsigned p = 0; p < fresh.config().procs; ++p)
+                EXPECT_EQ(reused->output(p), fresh.output(p)) << where;
+        }
+        EXPECT_EQ(restored_in_place, 17u);
+        EXPECT_GE(base_rungs, 6u);
+        // The text-mirror strikes were restored away: the reused machine's
+        // sticky text set matches a fresh clone's.
+        ladder.restore_into(*reused, g.app_start);
+        expect_same_state(*reused, ladder.clone_nearest(g.app_start), "final");
+        // Another ladder's machine (this one based mid-boot) has a bitmap
+        // relative to another base: it must be replaced, not patched.
+        sim::Machine mid = npb::make_machine(s, false);
+        mid.set_engine(e);
+        mid.run_until(g.app_start / 2);
+        const orch::CheckpointLadder mid_ladder =
+            orch::run_golden_with_ladder(mid, lopts);
+        mid_ladder.restore_into(*reused, g.app_start);
+        expect_same_state(*reused, mid_ladder.clone_nearest(g.app_start),
+                          "foreign ladder");
     }
 }

@@ -17,6 +17,8 @@
 //    byte-identically to the unsharded run.
 //  * equivalence pruning DECLINES uncore jobs: outcomes equal the unpruned
 //    run, nothing is inferred, and the declined-run counter reports it.
+//  * copy-assigning a rung over a machine disarms its uncore hook (the
+//    in-place ladder restore reuses one machine across fault runs).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -431,6 +433,39 @@ TEST(UncoreModel, StrikeOnAnEmptyCellIsMaskedOutright) {
             EXPECT_EQ(m.status(), sim::RunStatus::Shutdown);
             EXPECT_EQ(m.exit_code(), 0);
         }
+    }
+}
+
+TEST(UncoreModel, CopyAssigningARungOverAnArmedMachineDisarmsIt) {
+    // An in-place ladder restore copy-assigns the rung's shell over the
+    // machine that just ran a fault: the armed model must not survive into
+    // the next run (clones never inherit the hook; neither do assignees).
+    auto snip = std::make_shared<Snippet>();
+    snip->body = [snip = snip.get()](Assembler& a) {
+        a.kdata().align(8);
+        snip->buf_va = a.kdata().cursor();
+        for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
+        const auto base = a.sav(0);
+        a.movi(base, static_cast<std::int64_t>(snip->buf_va));
+        a.ldr(a.tmp(1), base, 0); // make the line resident
+        snip->park_addr = a.here();
+        a.ldr(a.tmp(2), base, 0);
+        a.syswr(isa::SysReg::SHUTDOWN, a.tmp(2));
+    };
+    for (const sim::Engine e : kAllEngines) {
+        sim::Machine m = build_snippet(snip->body);
+        m.set_engine(e);
+        const std::uint64_t phys = snip->buf_va - isa::layout::kKernBase;
+        m.run_until(retired_at(m, snip->park_addr));
+        const sim::Machine rung = m;
+        core::apply_fault(
+            m, l1d_cell_target(m, core::FaultTarget::Kind::CacheTag, phys, 0));
+        ASSERT_NE(m.uncore_hook(), nullptr) << "the strike must arm a model";
+        m = rung;
+        EXPECT_EQ(m.uncore_hook(), nullptr) << "engine " << static_cast<int>(e);
+        m.run_until(1'000'000);
+        EXPECT_EQ(m.status(), sim::RunStatus::Shutdown);
+        EXPECT_EQ(m.exit_code(), 0);
     }
 }
 
